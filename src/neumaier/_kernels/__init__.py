@@ -1,9 +1,10 @@
-"""Kernel selection: compiled extension when available, pure Python twin
+"""Kernel selection: compiled extension when available, pure Python
 otherwise.  Set NEUMAIER_PURE_PYTHON=1 to force the fallback.
 
-Both kernels expose the same surface:
+Both kernels expose the same surface and give the same outputs
+(eigenvalues up to rounding):
   charpoly_adj(adj, n)          exact integer characteristic polynomial
-  jacobi_eigenvalues(flat, n)   ascending eigenvalues, cyclic Jacobi
+  jacobi_eigenvalues(flat, n)   ascending eigenvalues of a symmetric matrix
   cluster_count(sorted, tol)    gap clustering used by spectra
   pack_charpoly / unpack_charpoly  stable dict keys for sweeps
   sweep_masks(n, start, stop, tol) labeled-graph range scan

@@ -57,10 +57,8 @@ from .regularity import (
 )
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
-    CharPoly,
     Spectrum,
     _distinct_from_key,
-    charpoly,
     exact_integer_eigenvalue,
     spectrum,
 )
@@ -141,10 +139,6 @@ class Analysis:
     @cached_property
     def max_clique_order(self) -> int:
         return max_clique_order(self.graph)
-
-    @cached_property
-    def charpoly(self) -> CharPoly:
-        return charpoly(self.graph)
 
     @cached_property
     def spectrum(self) -> Spectrum:

@@ -83,23 +83,6 @@ class Graph:
         return (1 << self.n) - 1
 
 
-def check_graph(g: Graph) -> None:
-    """Validate all Graph invariants; raises ValueError on violation."""
-    if not 0 <= g.n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {g.n} outside [0, {MAX_VERTICES}]")
-    if len(g.adj) != g.n:
-        raise ValueError("adjacency length differs from vertex count")
-    full = (1 << g.n) - 1
-    for u, row in enumerate(g.adj):
-        if row >> g.n:
-            raise ValueError(f"vertex {u} has neighbour bits beyond n-1")
-        if (row >> u) & 1:
-            raise ValueError(f"self-loop at vertex {u}")
-        for v in bits(row & full):
-            if not (g.adj[v] >> u) & 1:
-                raise ValueError(f"asymmetric adjacency between {u} and {v}")
-
-
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; rejects loops and bad indices."""
     if not 0 <= n <= MAX_VERTICES:

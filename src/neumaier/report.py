@@ -1,5 +1,5 @@
-"""Report serialization: JSON records, CSV summary rows, and the
-human-readable renderings used by the CLI.
+"""Report serialization: the JSON records the CLI renders as JSON, CSV
+or human-readable output.
 
 Conventions: exact rationals are emitted as "p/q" strings ("p" when the
 denominator is 1), arbitrary-precision charpoly coefficients as decimal
@@ -99,46 +99,6 @@ def class_report_json(rep: ClassReport) -> dict[str, Any]:
         "regular_cliques": [clique_json(c) for c in rep.regular_cliques],
         "theorems": {tid: outcome_json(o) for tid, o in rep.theorems.items()},
     }
-
-
-def class_report_csv(rep: ClassReport) -> str:
-    sp = rep.spectrum
-    fields = [
-        rep.graph6 or "",
-        rep.taxonomy.value,
-        str(rep.graph.n),
-        str(rep.erg.k) if rep.erg else "",
-        str(rep.erg.lam) if rep.erg else "",
-        str(rep.s) if rep.s is not None else "",
-        str(rep.e) if rep.e is not None else "",
-        str(sp.distinct_count),
-        f"{sp.theta_min:.10g}" if sp.eigs else "",
-        f"{sp.theta_max2:.10g}" if sp.distinct_count >= 2 else "",
-    ]
-    return ",".join(fields)
-
-
-def class_report_human(rep: ClassReport) -> str:
-    lines = [f"graph {rep.graph6 or '<unencodable>'}  (n={rep.graph.n})"]
-    lines.append(f"  taxonomy: {rep.taxonomy.value}")
-    if rep.erg:
-        lines.append(f"  edge-regular: (v,k,lambda) = ({rep.erg.v},{rep.erg.k},{rep.erg.lam})")
-    if rep.srg:
-        lines.append(
-            f"  strongly regular: mu = {rep.srg.mu}"
-            + (" (primitive)" if rep.srg.is_primitive else "")
-        )
-    if rep.s is not None:
-        lines.append(f"  regular cliques: order s+1 = {rep.s + 1}, nexus e = {rep.e}")
-    spec = ", ".join(f"{v:.6g}^{m}" for v, m in rep.spectrum.eigs)
-    lines.append(f"  spectrum: {{{spec}}}  distinct={rep.spectrum.distinct_count}")
-    dia = "inf" if math.isinf(rep.diameter) else str(rep.diameter)
-    lines.append(f"  diameter: {dia}")
-    for tid, o in rep.theorems.items():
-        mark = {"holds": "ok", "violated": "VIOLATED", "skipped": "skipped"}[o.status]
-        extra = " (vacuous)" if o.vacuous else ""
-        lines.append(f"  [{tid:>9}] {mark}{extra}")
-    return "\n".join(lines)
 
 
 def aggregate_json(agg: SweepAggregate) -> dict[str, Any]:

@@ -1,12 +1,13 @@
 """Exact and numeric spectral computation.
 
-The exact side is an integer characteristic polynomial (Faddeev-LeVerrier
-in arbitrary precision, int64 in the compiled kernel for small n) whose
-squarefree part decides the number of distinct eigenvalues.  The numeric
-side is a self-contained cyclic-Jacobi eigensolver.  ``spectrum`` welds
-the two: numeric eigenvalues are clustered and the cluster count must
-reproduce the exact distinct count, refining the tolerance by bisection
-when it does not.
+The exact side is an integer characteristic polynomial (power sums and
+Newton's identities in arbitrary precision, int64 in the compiled kernel
+for small n) whose Yun squarefree decomposition fixes the number of
+distinct eigenvalues and their multiplicities.  The numeric side is a
+self-contained Householder + implicit-QL eigensolver.  ``spectrum``
+welds the two: numeric eigenvalues are clustered and the cluster count
+must reproduce the exact distinct count, refining the tolerance by
+bisection when it does not.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def distinct_eigenvalue_count(p: CharPoly) -> int:
 
 def _multiplicity_multiset(p: CharPoly) -> list[int]:
     """Exact eigenvalue multiplicities via Yun squarefree decomposition:
-    each factor of degree d at multiplicity m contributes d copies of m."""
+    each factor of degree d at multiplicity m contributes d copies of m.
+    Its length is the exact distinct-eigenvalue count."""
     out: list[int] = []
     for mult, factor in intpoly.squarefree_decomposition(p.low_to_high()):
         out.extend([mult] * intpoly.degree(factor))
@@ -131,7 +133,8 @@ def spectrum(g: Graph, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     p = charpoly(g)
-    exact = distinct_eigenvalue_count(p)
+    multiplicities = _multiplicity_multiset(p)
+    exact = len(multiplicities)
     values = jacobi_eigenvalues(_adjacency_flat(g), g.n)
     if cluster_count(values, tol) != exact:
         lo, hi = TOL_FLOOR, TOL_CEIL
@@ -155,7 +158,7 @@ def spectrum(g: Graph, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
                 f"tolerance bisection failed to reach {exact} clusters"
             )
     groups = _group(values, tol)
-    if sorted(m for _, m in groups) != _multiplicity_multiset(p):
+    if sorted(m for _, m in groups) != multiplicities:
         raise SpectralResolutionError(
             "numeric multiplicities disagree with exact squarefree factors"
         )

@@ -1,8 +1,9 @@
 """Independent oracles for expected-value computation.
 
 Nothing here shares code with the package implementation: eigenvalues
-come from numpy's LAPACK bindings, isomorphism from raw permutation
-search, distances from Floyd-Warshall, cliques from subset enumeration.
+come from numpy's LAPACK bindings, exact charpolys from the
+Faddeev-LeVerrier recurrence, isomorphism from raw permutation search,
+distances from Floyd-Warshall, cliques from subset enumeration.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def eig_oracle(g: Graph) -> np.ndarray:
-    """Ascending eigenvalues via numpy (LAPACK), independent of Jacobi."""
+    """Ascending eigenvalues via numpy (LAPACK), independent of the
+    package's eigensolver."""
     if g.n == 0:
         return np.zeros(0)
     return np.linalg.eigvalsh(adjacency_matrix(g))
@@ -44,6 +46,27 @@ def charpoly_oracle(g: Graph) -> tuple[int, ...]:
         return (1,)
     coeffs = np.poly(eig_oracle(g))
     return tuple(int(round(c)) for c in coeffs)
+
+
+def faddeev_leverrier_charpoly(g: Graph) -> tuple[int, ...]:
+    """Exact integer charpoly for any n by the Faddeev-LeVerrier
+    recurrence M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k, in
+    Python integers.  Same coefficient order as the package:
+    (1, c_1, ..., c_n)."""
+    n = g.n
+    nbrs = [list(bits(row)) for row in g.adj]
+    c = [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # row i of A M is the sum of the rows of M at i's neighbours
+        m = [[sum(col) for col in zip(*(m[j] for j in nb))] if nb else [0] * n for nb in nbrs]
+        for i in range(n):
+            m[i][i] += c[-1]
+        trace = sum(m[j][i] for i in range(n) for j in nbrs[i])
+        q, r = divmod(-trace, k)
+        assert r == 0, "Faddeev-LeVerrier division must be exact"
+        c.append(q)
+    return tuple(c)
 
 
 def distinct_count_oracle(g: Graph, decimals: int = 6) -> int:

@@ -3,8 +3,18 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from neumaier._kernels import FAST_CHARPOLY_MAX_N, KERNEL_KIND, load_kernel
-from neumaier.graphs import from_edge_mask
+from neumaier.graphs import (
+    complement,
+    complete,
+    complete_multipartite,
+    from_edge_mask,
+    from_edges,
+    johnson2,
+    rook,
+)
+from neumaier.intpoly import squarefree_degree
 
 slow = load_kernel("python")
 try:
@@ -48,6 +58,32 @@ def test_charpoly_slow_vs_numpy():
         assert slow.charpoly_adj(g.adj, n) == expected
 
 
+def test_charpoly_matches_faddeev_leverrier_exhaustive_n6():
+    for n in range(0, 7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = from_edge_mask(n, mask)
+            assert slow.charpoly_adj(g.adj, n) == oracles.faddeev_leverrier_charpoly(g)
+
+
+def large_corpus():
+    """Seeded random graphs up to 62 vertices, sparse to dense, plus
+    extreme and highly structured ones."""
+    rng = random.Random(20)
+    graphs = [from_edges(62, []), complete(62)]
+    graphs += [complete_multipartite(5, 4), complete_multipartite(2, 31)]
+    graphs.append(complement(rook(6)))
+    for n in (7, 9, 11, 13, 16, 24, 33, 47, 62):
+        p = rng.choice((0.1, 0.5, 0.9))
+        edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+        graphs.append(from_edges(n, edges))
+    return graphs
+
+
+def test_charpoly_matches_faddeev_leverrier_up_to_62():
+    for g in large_corpus():
+        assert slow.charpoly_adj(g.adj, g.n) == oracles.faddeev_leverrier_charpoly(g)
+
+
 def jacobi_case(rng, n):
     flat = [0.0] * (n * n)
     for i in range(n):
@@ -59,9 +95,9 @@ def jacobi_case(rng, n):
 
 def test_jacobi_matches_lapack():
     rng = random.Random(19)
-    for n in (1, 2, 3, 6, 11, 20):
+    for n in (0, 1, 2, 3, 6, 11, 20, 62):
         flat = jacobi_case(rng, n)
-        expect = np.linalg.eigvalsh(np.array(flat).reshape(n, n))
+        expect = np.linalg.eigvalsh(np.array(flat).reshape(n, n)) if n else []
         got = slow.jacobi_eigenvalues(flat, n)
         assert np.allclose(got, expect, atol=1e-9)
         if fast is not None:
@@ -74,6 +110,37 @@ def test_jacobi_trivial_sizes():
     assert slow.jacobi_eigenvalues([7.0], 1) == [7.0]
     if fast is not None:
         assert fast.jacobi_eigenvalues([7.0], 1) == [7.0]
+
+
+def adjacency_flat(g):
+    return [1.0 if g.has_edge(u, v) else 0.0 for u in range(g.n) for v in range(g.n)]
+
+
+@pytest.mark.parametrize(
+    "g, spectrum",
+    [
+        (rook(6), [(-2, 25), (4, 10), (10, 1)]),
+        (complete_multipartite(5, 4), [(-4, 4), (0, 15), (16, 1)]),
+        (johnson2(10), [(-2, 35), (6, 9), (16, 1)]),
+        (from_edges(12, []), [(0, 12)]),
+    ],
+    ids=["rook6", "K5x4", "J10_2", "zero12"],
+)
+def test_eigenvalues_high_multiplicity(g, spectrum):
+    got = slow.jacobi_eigenvalues(adjacency_flat(g), g.n)
+    assert np.allclose(got, oracles.eig_oracle(g), atol=1e-9)
+    expect = [v for v, m in spectrum for _ in range(m)]
+    assert np.allclose(got, expect, atol=1e-9)
+    assert slow.cluster_count(got, 1e-7) == len(spectrum)
+
+
+def test_eigenvalue_clusters_match_exact_count_n8():
+    rng = random.Random(21)
+    for _ in range(1500):
+        g = from_edge_mask(8, rng.getrandbits(28))
+        values = slow.jacobi_eigenvalues(adjacency_flat(g), 8)
+        exact = squarefree_degree(list(reversed(slow.charpoly_adj(g.adj, 8))))
+        assert slow.cluster_count(values, 1e-7) == exact
 
 
 def test_cluster_count():

@@ -6,7 +6,9 @@ import pytest
 import oracles
 from neumaier.errors import DegenerateSpectrumError
 from neumaier.graphs import (
+    complement,
     complete,
+    complete_multipartite,
     cycle,
     from_edge_mask,
     from_edges,
@@ -49,9 +51,15 @@ def test_charpoly_against_numpy_oracle():
 
 def test_charpoly_edge_and_triangle_coefficients():
     rng = random.Random(4)
+    graphs = []
     for _ in range(100):
         n = rng.randint(2, 12)
-        g = from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+        graphs.append(from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)))
+    for n in (16, 24, 33, 47, 62):
+        graphs.append(from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)))
+    graphs += [complement(rook(6)), complete_multipartite(5, 4), from_edges(62, [])]
+    for g in graphs:
+        n = g.n
         c = charpoly(g).coeffs
         assert c[1] == 0
         assert c[2] == -g.edge_count()
