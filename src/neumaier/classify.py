@@ -493,11 +493,18 @@ def verify_extension_theorem(g: Graph, ctx: Analysis | None = None) -> TheoremOu
             vacuous=True,
             detail=f"extension hypothesis fails at (e+1)-clique {members}",
         )
-    big = list(cliques_of_order(g, s + 1))
-    per_edge = {
-        sum(1 for c in big if (c >> u) & 1 and (c >> v) & 1) for u, v in g.edges()
-    }
-    per_vertex = {sum(1 for c in big if (c >> u) & 1) for u in range(g.n)}
+    n = g.n
+    through_vertex = [0] * n
+    through_pair = [0] * (n * n)
+    for c in cliques_of_order(g, s + 1):
+        members = list(bits(c))
+        for i, u in enumerate(members):
+            through_vertex[u] += 1
+            row = u * n
+            for v in members[i + 1:]:
+                through_pair[row + v] += 1
+    per_edge = {through_pair[u * n + v] for u, v in g.edges()}
+    per_vertex = set(through_vertex)
     constant = len(per_edge) == 1 and len(per_vertex) == 1
     holds = ctx.taxonomy == Taxonomy.NEUMAIER_SRG and constant
     return TheoremOutcome(

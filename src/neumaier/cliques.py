@@ -43,24 +43,54 @@ class ExtensionReport:
 def maximal_cliques(g: Graph) -> Iterator[int]:
     """All maximal cliques, each exactly once, as vertex bitsets.
 
-    Pivoting backtracking; the emission order is a deterministic function
-    of the vertex order.
+    Pivoting Bron-Kerbosch on an explicit stack of ``[r, p, x, todo]``
+    frames; the pivot is the first vertex of p | x, in ascending order,
+    with the most neighbours in p.  The emission order is a deterministic
+    function of the vertex order.
     """
     if g.n == 0:
         return
     adj = g.adj
+    full = (1 << g.n) - 1
+    stack = [[0, full, 0, full & ~adj[_pivot(adj, full, 0)]]]
+    while stack:
+        frame = stack[-1]
+        r, p, x, todo = frame
+        if not todo:
+            stack.pop()
+            continue
+        low = todo & -todo
+        frame[1] = p ^ low
+        frame[2] = x | low
+        frame[3] = todo ^ low
+        row = adj[low.bit_length() - 1]
+        p &= row
+        x &= row
+        if not p:
+            if not x:
+                yield r | low
+            continue
+        stack.append([r | low, p, x, p & ~adj[_pivot(adj, p, x)]])
 
-    def expand(r: int, p: int, x: int) -> Iterator[int]:
-        if not p and not x:
-            yield r
-            return
-        pivot = max(bits(p | x), key=lambda u: (adj[u] & p).bit_count())
-        for v in bits(p & ~adj[pivot]):
-            yield from expand(r | (1 << v), p & adj[v], x & adj[v])
-            p ^= 1 << v
-            x |= 1 << v
 
-    yield from expand(0, (1 << g.n) - 1, 0)
+def _pivot(adj: list[int], p: int, x: int) -> int:
+    """First vertex of p | x, ascending, with the most neighbours in p;
+    no vertex can have more than |p|, so reaching that stops the scan."""
+    cap = p.bit_count()
+    best = -1
+    pivot = 0
+    w = p | x
+    while w:
+        low = w & -w
+        u = low.bit_length() - 1
+        c = (adj[u] & p).bit_count()
+        if c > best:
+            if c == cap:
+                return u
+            best = c
+            pivot = u
+        w ^= low
+    return pivot
 
 
 def outside_counts(g: Graph, clique: int) -> list[int]:
@@ -79,11 +109,22 @@ def regular_cliques(g: Graph) -> list[CliqueReport]:
     """
     if is_complete(g):
         raise ValueError("regular cliques are undefined for complete graphs")
+    adj = g.adj
+    full = (1 << g.n) - 1
     out: list[CliqueReport] = []
     for c in maximal_cliques(g):
-        counts = outside_counts(g, c)
-        e = counts[0]
-        if e > 0 and all(x == e for x in counts):
+        rest = full ^ c
+        low = rest & -rest
+        e = (adj[low.bit_length() - 1] & c).bit_count()
+        if e == 0:
+            continue
+        rest ^= low
+        while rest:
+            low = rest & -rest
+            if (adj[low.bit_length() - 1] & c).bit_count() != e:
+                break
+            rest ^= low
+        else:
             out.append(CliqueReport(c, c.bit_count(), True, True, e))
     if len({r.order for r in out}) > 1:
         from .regularity import edge_regular_params
@@ -149,12 +190,18 @@ def extension_hypothesis_holds(g: Graph, e: int, s: int) -> ExtensionReport:
     """
     if not 1 <= e <= s:
         raise ValueError("need 1 <= e <= s for a regular-clique pair (e, s)")
-    big = list(cliques_of_order(g, s + 1))
-    if not big:
+    if next(cliques_of_order(g, s + 1), None) is None:
         raise ValueError(f"graph has no clique of order s+1 = {s + 1}")
+    adj = g.adj
+    full = (1 << g.n) - 1
     unique = True
     for h in cliques_of_order(g, e + 1):
-        containing = sum(1 for c in big if c & h == h)
+        # the (s+1)-cliques through h are h plus an (s-e)-clique of the
+        # common neighbourhood of h
+        common = full
+        for v in bits(h):
+            common &= adj[v]
+        containing = _count_cliques_within(adj, common, s - e, 2)
         if containing == 0:
             return ExtensionReport(False, h, False, False)
         if containing != 1:
@@ -169,3 +216,22 @@ def extension_hypothesis_holds(g: Graph, e: int, s: int) -> ExtensionReport:
             "extension hypothesis holds but a maximal clique misses order s+1"
         )
     return ExtensionReport(True, None, unique, all_s1)
+
+
+def _count_cliques_within(adj: list[int], cand: int, t: int, limit: int) -> int:
+    """Number of t-cliques inside the vertex set ``cand``, counted only
+    up to ``limit``."""
+    if t == 0:
+        return 1
+    if t == 1:
+        return min(cand.bit_count(), limit)
+    found = 0
+    while cand.bit_count() >= t:
+        low = cand & -cand
+        cand ^= low
+        found += _count_cliques_within(
+            adj, cand & adj[low.bit_length() - 1], t - 1, limit - found
+        )
+        if found >= limit:
+            break
+    return found

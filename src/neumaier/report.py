@@ -9,7 +9,6 @@ strings, reals as JSON numbers, vertex sets as sorted lists.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Any
 
 from .classify import (
@@ -25,10 +24,6 @@ from .spectra import Spectrum
 CSV_HEADER = (
     "graph6,taxonomy,v,k,lambda,s,e,distinct_count,theta_min,theta_max2"
 )
-
-
-def fraction_str(x: Fraction) -> str:
-    return str(x)
 
 
 def spectrum_json(s: Spectrum) -> dict[str, Any]:
@@ -63,9 +58,9 @@ def params_json(rep: ClassReport) -> dict[str, Any]:
         a = rep.avg
         out.update(
             {
-                "kbar": fraction_str(a.kbar),
-                "lambdabar": fraction_str(a.lambdabar),
-                "mubar": fraction_str(a.mubar),
+                "kbar": str(a.kbar),
+                "lambdabar": str(a.lambdabar),
+                "mubar": str(a.mubar),
                 "sbar": a.sbar,
                 "ebar": a.ebar,
                 "theta_m": a.theta_m,

@@ -4,6 +4,13 @@ Nothing here shares code with the package implementation: eigenvalues
 come from numpy's LAPACK bindings, exact charpolys from the
 Faddeev-LeVerrier recurrence, isomorphism from raw permutation search,
 distances from Floyd-Warshall, cliques from subset enumeration.
+
+Two reference implementations keep the package's earlier clique layer:
+the recursive pivoting enumeration, whose emission order the package
+must reproduce, and the extension check that pairs every (e+1)-clique
+with every (s+1)-clique.  The latter takes its cliques of a given order
+from the package's ``cliques_of_order``, which is checked against
+subset enumeration on its own.
 """
 
 from __future__ import annotations
@@ -11,9 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from typing import Iterator
 
 import numpy as np
 
+from neumaier.cliques import ExtensionReport, cliques_of_order
+from neumaier.errors import ConsistencyError
 from neumaier.graphs import Graph, bits
 
 
@@ -126,6 +136,55 @@ def brute_maximal_cliques(g: Graph) -> set[frozenset[int]]:
     if g.n and not cliques:  # edgeless: singletons are the maximal cliques
         maximal = {frozenset([u]) for u in verts}
     return maximal
+
+
+def reference_maximal_cliques(g: Graph) -> Iterator[int]:
+    """Recursive pivoting Bron-Kerbosch: the pivot is the first vertex of
+    p | x, ascending, with the most neighbours in p.  Fixes the emission
+    order that ``neumaier.cliques.maximal_cliques`` must reproduce."""
+    if g.n == 0:
+        return
+    adj = g.adj
+
+    def expand(r: int, p: int, x: int) -> Iterator[int]:
+        if not p and not x:
+            yield r
+            return
+        pivot = max(bits(p | x), key=lambda u: (adj[u] & p).bit_count())
+        for v in bits(p & ~adj[pivot]):
+            yield from expand(r | (1 << v), p & adj[v], x & adj[v])
+            p ^= 1 << v
+            x |= 1 << v
+
+    yield from expand(0, (1 << g.n) - 1, 0)
+
+
+def pairing_extension_hypothesis(g: Graph, e: int, s: int) -> ExtensionReport:
+    """``neumaier.cliques.extension_hypothesis_holds`` by pairing every
+    (e+1)-clique with every (s+1)-clique: same report, same witness, same
+    exceptions."""
+    if not 1 <= e <= s:
+        raise ValueError("need 1 <= e <= s for a regular-clique pair (e, s)")
+    big = list(cliques_of_order(g, s + 1))
+    if not big:
+        raise ValueError(f"graph has no clique of order s+1 = {s + 1}")
+    unique = True
+    for h in cliques_of_order(g, e + 1):
+        containing = sum(1 for c in big if c & h == h)
+        if containing == 0:
+            return ExtensionReport(False, h, False, False)
+        if containing != 1:
+            unique = False
+    all_s1 = all(c.bit_count() == s + 1 for c in reference_maximal_cliques(g))
+    if not unique:
+        raise ConsistencyError(
+            "extension hypothesis holds but some extension is not unique"
+        )
+    if not all_s1:
+        raise ConsistencyError(
+            "extension hypothesis holds but a maximal clique misses order s+1"
+        )
+    return ExtensionReport(True, None, unique, all_s1)
 
 
 def brute_cliques_of_order(g: Graph, t: int) -> set[frozenset[int]]:

@@ -19,6 +19,7 @@ from neumaier.classify import (
 )
 from neumaier.cliques import is_equitable_bipartition
 from neumaier.graphs import (
+    complement,
     complete,
     complete_multipartite,
     cycle,
@@ -310,20 +311,40 @@ def test_taxonomy_soundness_biconditional():
 
 def test_constant_clique_counts_through_edges_and_vertices():
     # where the extension hypothesis holds, the number of (s+1)-cliques
-    # through an edge, and through a vertex, is constant
-    from neumaier.cliques import cliques_of_order
-
-    for g in [rook(3), rook(4), complete_multipartite(3, 3)]:
+    # through an edge, and through a vertex, is constant; the verifier's
+    # own counts must equal these subset-enumeration counts
+    for g in [
+        rook(3),
+        rook(4),
+        complete_multipartite(3, 3),
+        complete_multipartite(5, 4),
+        complement(rook(5)),
+    ]:
         rep = classify(g)
         out = rep.theorems["extension"]
         assert out.status == "holds" and not out.vacuous
-        big = list(cliques_of_order(g, rep.s + 1))
-        per_edge = {
-            sum(1 for c in big if (c >> u) & 1 and (c >> v) & 1)
-            for u, v in g.edges()
-        }
-        per_vertex = {sum(1 for c in big if (c >> u) & 1) for u in range(g.n)}
+        big = oracles.brute_cliques_of_order(g, rep.s + 1)
+        per_edge = {sum(1 for c in big if {u, v} <= c) for u, v in g.edges()}
+        per_vertex = {sum(1 for c in big if u in c) for u in range(g.n)}
         assert len(per_edge) == 1 and len(per_vertex) == 1
+        assert out.detail.endswith(
+            f"cliques per edge {sorted(per_edge)}, per vertex {sorted(per_vertex)}"
+        )
+
+
+def test_extension_holds_on_large_clique_counts():
+    # K_{6x6} has 6^6 cliques of order e+1 = s+1, complement(rook(7)) has
+    # 7! of order s+1: the sizes at which pairing every (e+1)-clique with
+    # every (s+1)-clique took minutes
+    for g, s_e in [
+        (complete_multipartite(6, 6), (5, 5)),
+        (complement(rook(7)), (6, 5)),
+    ]:
+        rep = classify(g)
+        assert rep.taxonomy is Taxonomy.NEUMAIER_SRG
+        assert (rep.s, rep.e) == s_e
+        out = rep.theorems["extension"]
+        assert out.status == "holds" and not out.vacuous
 
 
 # ---------------------------------------------------------------------------

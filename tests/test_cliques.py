@@ -16,14 +16,17 @@ from neumaier.cliques import (
 from neumaier.graphs import (
     bits,
     complete,
+    complement,
     complete_multipartite,
     cycle,
+    enumerate_all_graphs,
     from_edge_mask,
     from_edges,
     johnson2,
     petersen,
     rook,
 )
+from neumaier.errors import ConsistencyError
 from neumaier.regularity import (
     clique_bound_s,
     edge_regular_params,
@@ -39,6 +42,40 @@ def masks(n):
 
 def as_sets(bitsets):
     return {oracles.bitset_to_set(c) for c in bitsets}
+
+
+def small_graphs():
+    """Every labeled graph with n <= 6."""
+    out = [from_edge_mask(0, 0)]
+    for n in range(1, 7):
+        enumerate_all_graphs(n, out.append)
+    return out
+
+
+def family_members():
+    """Rook, Johnson and complete multipartite graphs with complements."""
+    base = (
+        [rook(n) for n in range(2, 6)]
+        + [johnson2(n) for n in range(4, 8)]
+        + [complete_multipartite(p, m) for p in range(2, 5) for m in range(2, 4)]
+    )
+    return base + [complement(g) for g in base]
+
+
+def dense_regular(n, d, seed):
+    """Complement of a seeded d-regular graph on n vertices, built from d
+    edge-disjoint random perfect matchings (n even)."""
+    rng = random.Random(seed)
+    edges = set()
+    for _ in range(d):
+        while True:
+            order = list(range(n))
+            rng.shuffle(order)
+            pairs = {tuple(sorted(order[i:i + 2])) for i in range(0, n, 2)}
+            if not pairs & edges:
+                edges |= pairs
+                break
+    return complement(from_edges(n, edges))
 
 
 def test_maximal_cliques_examples():
@@ -59,6 +96,16 @@ def test_maximal_cliques_against_subset_oracle():
         got = list(maximal_cliques(g))
         assert len(got) == len(set(got))  # exactly-once emission
         assert as_sets(got) == oracles.brute_maximal_cliques(g)
+
+
+def test_maximal_cliques_order_matches_reference():
+    graphs = (
+        small_graphs()
+        + family_members()
+        + [dense_regular(40, 6, seed) for seed in range(3)]
+    )
+    for g in graphs:
+        assert list(maximal_cliques(g)) == list(oracles.reference_maximal_cliques(g))
 
 
 def test_regular_cliques_rook():
@@ -160,6 +207,22 @@ def test_extension_hypothesis_argument_errors():
         extension_hypothesis_holds(rook(3), 0, 2)
     with pytest.raises(ValueError):
         extension_hypothesis_holds(petersen(), 1, 2)  # no 3-cliques at all
+
+
+def extension_outcome(check, g, e, s):
+    try:
+        return check(g, e, s)
+    except (ValueError, ConsistencyError) as exc:
+        return type(exc)
+
+
+def test_extension_hypothesis_matches_pairing_reference():
+    for g in small_graphs() + family_members():
+        for s in range(1, 6):
+            for e in range(1, s + 1):
+                got = extension_outcome(extension_hypothesis_holds, g, e, s)
+                want = extension_outcome(oracles.pairing_extension_hypothesis, g, e, s)
+                assert got == want, (g.adj, e, s)
 
 
 def test_clique_order_bound_small_sweep():
