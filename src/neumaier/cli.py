@@ -2,9 +2,11 @@
 run verification sweeps, and evaluate the four-eigenvalue refuter.
 
 Exit codes: 0 clean, 2 parse/parameter error, 3 internal consistency
-error, 4 sweep assertion failure.  Every option also reads an environment
-variable named NEUMAIER_<COMMAND>_<OPTION> (e.g. NEUMAIER_SWEEP_WORKERS);
-flags win over the environment, which wins over defaults.
+error (two computations disagree, numeric against exact spectra
+included), 4 sweep assertion failure.  Every option also reads an
+environment variable named NEUMAIER_<COMMAND>_<OPTION> (e.g.
+NEUMAIER_SWEEP_WORKERS); flags win over the environment, which wins over
+defaults.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .classify import (
     sweep_labeled,
     sweep_verify,
 )
-from .errors import ConsistencyError, Graph6Error
+from .errors import ConsistencyError, Graph6Error, SpectralResolutionError
 from .graphs import FAMILIES, decode_graph6, encode_graph6
 from .graphs import generate as generate_family
 from .spectra import DEFAULT_CLUSTER_TOL
@@ -32,6 +34,8 @@ from .spectra import DEFAULT_CLUSTER_TOL
 EXIT_PARSE = 2
 EXIT_CONSISTENCY = 3
 EXIT_SWEEP_FAILED = 4
+#: failed cross-checks between two computations: one line, exit 3
+INTERNAL_ERRORS = (ConsistencyError, SpectralResolutionError)
 
 
 @click.group(context_settings={"auto_envvar_prefix": "NEUMAIER"})
@@ -104,7 +108,7 @@ def analyze(input, output, format, tol, workers) -> None:
                 out.write(_csv_from_record(rec) + "\n")
             else:
                 out.write(_human_from_record(rec) + "\n\n")
-    except ConsistencyError as exc:
+    except INTERNAL_ERRORS as exc:
         click.echo(f"internal consistency error: {exc}", err=True)
         sys.exit(EXIT_CONSISTENCY)
     finally:
@@ -217,7 +221,7 @@ def sweep(n, input, output, format, theorems, tol, workers) -> None:
         else:
             agg = sweep_verify((g for _, g in _read_graphs(input)), ids, tol)
             passed = agg.ok()
-    except ConsistencyError as exc:
+    except INTERNAL_ERRORS as exc:
         click.echo(f"internal consistency error: {exc}", err=True)
         sys.exit(EXIT_CONSISTENCY)
     out = _open_out(output)

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package implementation: eigenvalues
 come from numpy's LAPACK bindings, exact charpolys from the
-Faddeev-LeVerrier recurrence, isomorphism from raw permutation search,
+Faddeev-LeVerrier recurrence, polynomial gcds from the primitive
+pseudo-remainder sequence, isomorphism from raw permutation search,
 distances from Floyd-Warshall, cliques from subset enumeration.
 
 Two reference implementations keep the package's earlier clique layer:
@@ -77,6 +78,79 @@ def faddeev_leverrier_charpoly(g: Graph) -> tuple[int, ...]:
         assert r == 0, "Faddeev-LeVerrier division must be exact"
         c.append(q)
     return tuple(c)
+
+
+def _primitive(p: list[int]) -> list[int]:
+    c = 0
+    for x in p:
+        c = math.gcd(c, x)
+    return [x // c for x in p] if c > 1 else list(p)
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd in Z[x] with positive leading coefficient (low to
+    high coefficients) by the primitive pseudo-remainder sequence: every
+    step scales the remainder by lc(b) and divides out its content."""
+    a = _primitive(_trim(list(a)))
+    b = _primitive(_trim(list(b)))
+    if not a:
+        a, b = b, a
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c, s = r[-1], len(r) - len(b)
+            r = [b[-1] * x for x in r]
+            for i, y in enumerate(b):
+                r[s + i] -= c * y
+            _trim(r)
+        a, b = b, _primitive(r)
+    return [-x for x in a] if a and a[-1] < 0 else a
+
+
+def _div_exact(f: list[int], g: list[int]) -> list[int]:
+    """f / g in Z[x] for monic g, asserting a zero remainder."""
+    r = list(f)
+    q = [0] * max(len(r) - len(g) + 1, 0)
+    while len(r) >= len(g):
+        c, s = r[-1], len(r) - len(g)
+        q[s] = c
+        for i, y in enumerate(g):
+            r[s + i] -= c * y
+        _trim(r)
+    assert not r, "division must be exact"
+    return q
+
+
+def prs_squarefree_decomposition(p: list[int]) -> list[tuple[int, list[int]]]:
+    """Yun's algorithm on ``prs_gcd`` for monic p: [(multiplicity,
+    factor), ...], nonconstant monic factors in increasing multiplicity."""
+    def deriv(f):
+        return [i * c for i, c in enumerate(f)][1:]
+
+    def sub(f, g):
+        m = max(len(f), len(g))
+        return _trim([x - y for x, y in zip(f + [0] * (m - len(f)), g + [0] * (m - len(g)))])
+
+    dp = deriv(p)
+    g = prs_gcd(p, dp)
+    c = _div_exact(p, g)
+    d = sub(_div_exact(dp, g), deriv(c))
+    out = []
+    i = 1
+    while len(c) > 1:
+        a = prs_gcd(c, d)
+        if len(a) > 1:
+            out.append((i, a))
+        c = _div_exact(c, a)
+        d = sub(_div_exact(d, a), deriv(c))
+        i += 1
+    return out
 
 
 def distinct_count_oracle(g: Graph, decimals: int = 6) -> int:

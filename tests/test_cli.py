@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from neumaier import spectra
 from neumaier.cli import main
 from neumaier.graphs import (
     complete_multipartite,
@@ -171,3 +172,18 @@ def test_output_file(tmp_path):
     res = invoke(["analyze", "--output", str(out)], input="Bw\n")
     assert res.exit_code == 0
     assert json.loads(out.read_text())["taxonomy"] == "CompleteExcluded"
+
+
+def test_spectral_resolution_error_exits_3(monkeypatch):
+    # evenly spaced numeric eigenvalues: no tolerance clusters them into
+    # the three exact distinct eigenvalues of rook(3)
+    monkeypatch.setattr(spectra, "jacobi_eigenvalues",
+                        lambda flat, n: [float(i) for i in range(n)])
+    line = encode_graph6(rook(3)) + "\n"
+    for args in (["analyze"], ["sweep", "--input", "-"]):
+        res = invoke(args, input=line)
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.splitlines() == [
+            "internal consistency error: no tolerance in [1e-13, 1.0] yields 3 clusters"
+        ]

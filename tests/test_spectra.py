@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -16,6 +17,7 @@ from neumaier.graphs import (
     petersen,
     rook,
 )
+from neumaier.intpoly import squarefree_decomposition
 from neumaier.regularity import degree_profile, triangle_count
 from neumaier.spectra import (
     CharPoly,
@@ -178,3 +180,87 @@ def test_largest_eigenvalue_bound_small():
             regular = len({g.degree(u) for u in range(n)}) == 1
             assert sp.theta_max >= kbar - 1e-9
             assert (abs(sp.theta_max - kbar) <= 1e-9) == regular
+
+
+def random_regular(n, d, rng):
+    """A random d-regular graph on n vertices: stubs paired at random,
+    starting over when the pairing gets stuck."""
+    while True:
+        stubs = [u for u in range(n) for _ in range(d)]
+        edges = set()
+        while stubs:
+            for _ in range(100):
+                i, j = rng.sample(range(len(stubs)), 2)
+                u, v = sorted((stubs[i], stubs[j]))
+                if u != v and (u, v) not in edges:
+                    break
+            else:
+                break
+            edges.add((u, v))
+            for k in sorted((i, j), reverse=True):
+                stubs.pop(k)
+        if not stubs:
+            return from_edges(n, edges)
+
+
+def cayley_z2z8_lambda4():
+    """The Cayley graphs of Z2 x Z8 with an inverse-closed connection set
+    of size 9 that are edge-regular with lambda = 4."""
+    elems = [(a, b) for a in range(2) for b in range(8)]
+    index = {x: i for i, x in enumerate(elems)}
+
+    def neg(x):
+        return (-x[0] % 2, -x[1] % 8)
+
+    involutions = [x for x in elems[1:] if neg(x) == x]
+    pairs = sorted({tuple(sorted((x, neg(x)))) for x in elems[1:] if neg(x) != x})
+    out = []
+    for ni in (1, 3):
+        for inv in itertools.combinations(involutions, ni):
+            for prs in itertools.combinations(pairs, (9 - ni) // 2):
+                conn = set(inv) | {x for p in prs for x in p}
+                g = from_edges(16, {
+                    tuple(sorted((index[x], index[((x[0] + c[0]) % 2, (x[1] + c[1]) % 8)])))
+                    for x in elems for c in conn
+                })
+                if all((g.adj[u] & g.adj[v]).bit_count() == 4 for u, v in g.edges()):
+                    out.append(g)
+    return out
+
+
+def assert_golden_decomposition(g):
+    p = charpoly(g).low_to_high()
+    decomp = squarefree_decomposition(p)
+    assert decomp == oracles.prs_squarefree_decomposition(p)
+    mults = sorted(m for m, f in decomp for _ in range(len(f) - 1))
+    assert mults == sorted(m for _, m in oracles.spectrum_oracle(g))
+    return decomp
+
+
+def test_squarefree_decomposition_golden_random_regular():
+    rng = random.Random(16)
+    for i, n in enumerate(range(16, 63, 4)):
+        d = max(3, round(n * (0.15, 0.25, 0.35, 0.45)[i % 4]))
+        d += (n * d) % 2
+        assert_golden_decomposition(random_regular(n, d, rng))
+    assert_golden_decomposition(random_regular(62, 30, rng))
+
+
+def test_squarefree_decomposition_golden_cayley_z2z8():
+    graphs = cayley_z2z8_lambda4()
+    assert len(graphs) == 8
+    # 9, then -3 and -1 +- 2 sqrt(2) twice each: (x + 3)(x^2 + 2x - 7)
+    # = x^3 + 5x^2 - x - 21; then (-1)^4 and 1^5
+    for g in graphs:
+        assert assert_golden_decomposition(g) == [
+            (1, [-9, 1]), (2, [-21, -1, 5, 1]), (4, [1, 1]), (5, [-1, 1])
+        ]
+
+
+def test_squarefree_decomposition_golden_large_multiplicities():
+    # K_{6x6}: 30, 0^30, (-6)^5
+    decomp = assert_golden_decomposition(complete_multipartite(6, 6))
+    assert decomp == [(1, [-30, 1]), (5, [6, 1]), (30, [0, 1])]
+    # complement(rook(7)): 36, (-6)^12, 1^36
+    decomp = assert_golden_decomposition(complement(rook(7)))
+    assert decomp == [(1, [-36, 1]), (12, [6, 1]), (36, [-1, 1])]
