@@ -1,24 +1,21 @@
-"""Pure-Python kernels: the hot loops of the spectral layer.
+"""The hot loops of the spectral layer, in pure Python.
 
-The compiled extension (``_fast``) gives the same outputs, eigenvalues
-up to rounding; the package selects whichever is importable at startup.
-This module is both the fallback and the reference the extension is
-tested against.
+The package re-exports these functions from ``neumaier._kernels``.  The
+module path and the function names stay as they are because the
+benchmark's tracing looks them up: it wraps the names on
+``neumaier._kernels`` and leaves this module unpatched, so the calls
+``sweep_masks`` makes to the charpoly and the eigensolver stay inside
+its one span.
 """
 
 from __future__ import annotations
 
-import struct
 from math import copysign, hypot, sqrt
 from operator import mul
 
 from ..errors import SpectralResolutionError
 
 KERNEL_KIND = "python"
-
-#: the extension's int64 fast path is proven overflow-safe up to here;
-#: beyond it the extension calls this module's ``charpoly_adj``
-FAST_CHARPOLY_MAX_N = 10
 
 #: cap on implicit-QL iterations per eigenvalue; adjacency matrices of
 #: every 6-vertex graph and of random graphs up to 62 vertices need <= 6
@@ -71,9 +68,9 @@ def jacobi_eigenvalues(flat: list[float], n: int) -> list[float]:
 
     Householder reduction to tridiagonal form, then implicit QL with
     Wilkinson shifts on the tridiagonal (Golub & Van Loan, Matrix
-    Computations, 8.3); eigenvalues only.  The name is shared with the
-    compiled kernel's cyclic-Jacobi solver, and the benchmark's tracing
-    looks the function up by it.
+    Computations, 8.3); eigenvalues only.  This is not a Jacobi method;
+    the name stays because the benchmark's tracing looks the function up
+    by it.
     """
     a = [[float(x) for x in flat[i * n : (i + 1) * n]] for i in range(n)]
     d = [0.0] * n
@@ -158,31 +155,22 @@ def cluster_count(values_sorted: list[float], tol: float) -> int:
     return count
 
 
-def pack_charpoly(coeffs: tuple[int, ...]) -> bytes:
-    """Stable dict key for a charpoly: little-endian int64 array.  Only
-    valid for coefficient ranges the sweep can produce (n <= 8)."""
-    return struct.pack(f"<{len(coeffs)}q", *coeffs)
-
-
-def unpack_charpoly(key: bytes) -> tuple[int, ...]:
-    return struct.unpack(f"<{len(key) // 8}q", key)
-
-
 def sweep_masks(
     n: int, start: int, stop: int, tol: float
-) -> tuple[int, int, dict[bytes, list[int]], list[int]]:
+) -> tuple[int, int, dict[tuple[int, ...], list[int]], list[int]]:
     """Scan the labeled-graph edge masks [start, stop) on n vertices.
 
     Per graph: exact charpoly, numeric eigenvalues, and the cluster count
     at ``tol``.  Returns (total, irregular_count, stats, regular_masks)
-    where stats maps packed charpoly -> [graph_count, min_clusters,
-    max_clusters] and regular_masks lists the masks of degree-regular
-    graphs for full classification by the caller.
+    where stats maps the charpoly (the coefficient tuple of
+    ``charpoly_adj``) -> [graph_count, min_clusters, max_clusters] and
+    regular_masks lists the masks of degree-regular graphs for full
+    classification by the caller.
     """
     if n > 8:
         raise ValueError("mask sweep supports n <= 8")
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    stats: dict[bytes, list[int]] = {}
+    stats: dict[tuple[int, ...], list[int]] = {}
     regular: list[int] = []
     irregular = 0
     for mask in range(start, stop):
@@ -199,8 +187,7 @@ def sweep_masks(
             regular.append(mask)
         else:
             irregular += 1
-        coeffs = charpoly_adj(tuple(adj), n)
-        key = pack_charpoly(coeffs)
+        key = charpoly_adj(tuple(adj), n)
         flat = [0.0] * (n * n)
         for i in range(n):
             a = adj[i]

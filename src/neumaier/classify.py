@@ -819,7 +819,7 @@ class LabeledSweepResult:
 
     n: int
     aggregate: SweepAggregate
-    charpoly_stats: dict[bytes, tuple[int, int, int]]
+    charpoly_stats: dict[tuple[int, ...], tuple[int, int, int]]
     regular_masks: list[int]
     elapsed: float
 
@@ -873,7 +873,7 @@ def sweep_labeled(
     ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     args = [(n, a, b, ids, cluster_tol) for a, b in ranges]
     agg = SweepAggregate()
-    stats: dict[bytes, list[int]] = {}
+    stats: dict[tuple[int, ...], list[int]] = {}
     regular_masks: list[int] = []
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -892,7 +892,7 @@ def sweep_labeled(
                 entry[2] = max(entry[2], mx)
         regular_masks.extend(part_regular)
     for key, (count, mn, mx) in stats.items():
-        exact = _distinct_from_key(_kernels.unpack_charpoly(key))
+        exact = _distinct_from_key(key)
         agg.distinct_histogram[exact] = agg.distinct_histogram.get(exact, 0) + count
         if mn != exact or mx != exact:
             agg.cluster_mismatches += count

@@ -1,13 +1,12 @@
 """Exact and numeric spectral computation.
 
 The exact side is an integer characteristic polynomial (power sums and
-Newton's identities in arbitrary precision, int64 in the compiled kernel
-for small n) whose Yun squarefree decomposition fixes the number of
-distinct eigenvalues and their multiplicities.  The numeric side is a
-self-contained Householder + implicit-QL eigensolver.  ``spectrum``
-welds the two: numeric eigenvalues are clustered and the cluster count
-must reproduce the exact distinct count, refining the tolerance by
-bisection when it does not.
+Newton's identities in arbitrary precision) whose Yun squarefree
+decomposition fixes the number of distinct eigenvalues and their
+multiplicities.  The numeric side is a self-contained Householder +
+implicit-QL eigensolver.  ``spectrum`` welds the two: numeric
+eigenvalues are clustered and the cluster count must reproduce the exact
+distinct count, refining the tolerance by bisection when it does not.
 """
 
 from __future__ import annotations

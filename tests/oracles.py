@@ -12,6 +12,10 @@ must reproduce, and the extension check that pairs every (e+1)-clique
 with every (s+1)-clique.  The latter takes its cliques of a given order
 from the package's ``cliques_of_order``, which is checked against
 subset enumeration on its own.
+
+The eight strictly Neumaier Cayley graphs of Z2 x Z8 are found here by
+search over connection sets, so the spectra and classify tests share
+one positive control.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from neumaier.cliques import ExtensionReport, cliques_of_order
 from neumaier.errors import ConsistencyError
-from neumaier.graphs import Graph, bits
+from neumaier.graphs import Graph, bits, from_edges
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -278,3 +282,28 @@ def cycle_eigenvalues(n: int) -> list[float]:
 
 def bitset_to_set(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
+
+
+def cayley_z2z8_lambda4():
+    """The Cayley graphs of Z2 x Z8 with an inverse-closed connection set
+    of size 9 that are edge-regular with lambda = 4."""
+    elems = [(a, b) for a in range(2) for b in range(8)]
+    index = {x: i for i, x in enumerate(elems)}
+
+    def neg(x):
+        return (-x[0] % 2, -x[1] % 8)
+
+    involutions = [x for x in elems[1:] if neg(x) == x]
+    pairs = sorted({tuple(sorted((x, neg(x)))) for x in elems[1:] if neg(x) != x})
+    out = []
+    for ni in (1, 3):
+        for inv in itertools.combinations(involutions, ni):
+            for prs in itertools.combinations(pairs, (9 - ni) // 2):
+                conn = set(inv) | {x for p in prs for x in p}
+                g = from_edges(16, {
+                    tuple(sorted((index[x], index[((x[0] + c[0]) % 2, (x[1] + c[1]) % 8)])))
+                    for x in elems for c in conn
+                })
+                if all((g.adj[u] & g.adj[v]).bit_count() == 4 for u, v in g.edges()):
+                    out.append(g)
+    return out

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from neumaier._kernels import unpack_charpoly
 from neumaier.classify import (
     Analysis,
     Taxonomy,
@@ -191,7 +190,7 @@ def test_criterion_6_exactness_infrastructure(sweep7):
     assert sweep7.aggregate.cluster_mismatches == 0
     graphs_covered = 0
     for key, (cnt, mn, mx) in sweep7.charpoly_stats.items():
-        exact = _distinct_from_key(unpack_charpoly(key))
+        exact = _distinct_from_key(key)
         assert mn == exact == mx
         graphs_covered += cnt
     assert graphs_covered == 1 << 21

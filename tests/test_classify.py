@@ -77,6 +77,40 @@ def test_neumaier_taxonomy_soundness_families():
         assert rep.regular_cliques[0].order == rep.s + 1
 
 
+def test_strictly_neumaier_golden_cayley_z2z8():
+    # the smallest strictly Neumaier graphs: no sweep with n <= 8 reaches
+    # this branch, the strict side of the sandwich or the non-SRG side of
+    # Delsarte; (status, equality, vacuous) per verifier is pinned
+    expected = {
+        "lem1": ("holds", False, False),
+        "sandwich": ("holds", False, False),
+        "hoffman": ("holds", False, False),
+        "delsarte": ("holds", False, False),
+        "walk": ("holds", None, True),
+        "minus2": ("holds", None, True),
+        "four": ("holds", None, False),
+        "extension": ("holds", None, True),
+    }
+    graphs = oracles.cayley_z2z8_lambda4()
+    assert len(graphs) == 8
+    for g in graphs:
+        rep = classify(g)
+        assert rep.taxonomy is Taxonomy.STRICTLY_NEUMAIER
+        assert (rep.erg.v, rep.erg.k, rep.erg.lam) == (16, 9, 4)
+        assert rep.srg is None
+        assert (rep.s, rep.e) == (3, 2)
+        assert rep.regular_cliques and rep.regular_cliques[0].order == rep.s + 1
+        eigs = [v for v, _ in rep.spectrum.eigs]
+        assert rep.spectrum.distinct_count == len(eigs) == 6
+        for root in (-1 + 2 * math.sqrt(2), -1 - 2 * math.sqrt(2)):
+            assert any(math.isclose(v, root, abs_tol=1e-9) for v in eigs)
+        got = {
+            tid: (out.status, out.equality, out.vacuous)
+            for tid, out in rep.theorems.items()
+        }
+        assert got == expected
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue sandwich
 
@@ -361,6 +395,18 @@ def test_sweep_verify_families():
     assert agg.ok()
     assert agg.taxonomy_counts == {"NeumaierSRG": len(corpus)}
     assert agg.neumaier_four_count == 0
+
+
+def test_sweep_verify_strictly_neumaier_cayley_z2z8():
+    agg = sweep_verify(oracles.cayley_z2z8_lambda4())
+    assert agg.ok()
+    assert agg.taxonomy_counts == {"StrictlyNeumaier": 8}
+    assert agg.distinct_histogram == {6: 8}
+    assert len(agg.strictly_neumaier) == 8
+    assert all(d == 6 for _, d in agg.strictly_neumaier)
+    # the same sighting with four distinct eigenvalues fails ok()
+    agg.strictly_neumaier[0] = (agg.strictly_neumaier[0][0], 4)
+    assert not agg.ok()
 
 
 def test_sweep_labeled_matches_generic_sweep_n4():

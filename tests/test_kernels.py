@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from neumaier._kernels import FAST_CHARPOLY_MAX_N, KERNEL_KIND, load_kernel
+from neumaier import _kernels as kernel
 from neumaier.graphs import (
     complement,
     complete,
@@ -16,14 +16,6 @@ from neumaier.graphs import (
 )
 from neumaier.intpoly import squarefree_degree
 
-slow = load_kernel("python")
-try:
-    fast = load_kernel("cython")
-except ImportError:
-    fast = None
-
-both = pytest.mark.skipif(fast is None, reason="compiled kernel not built")
-
 
 def random_graph(rng, n):
     nb = n * (n - 1) // 2
@@ -31,17 +23,7 @@ def random_graph(rng, n):
 
 
 def test_selected_kernel_identifies_itself():
-    assert KERNEL_KIND in ("cython", "python")
-    assert slow.KERNEL_KIND == "python"
-
-
-@both
-def test_charpoly_agreement_across_the_int64_boundary():
-    rng = random.Random(17)
-    for n in range(0, FAST_CHARPOLY_MAX_N + 4):
-        for _ in range(25):
-            g = random_graph(rng, n)
-            assert fast.charpoly_adj(g.adj, n) == slow.charpoly_adj(g.adj, n)
+    assert kernel.KERNEL_KIND == "python"
 
 
 def test_charpoly_slow_vs_numpy():
@@ -55,14 +37,14 @@ def test_charpoly_slow_vs_numpy():
                 if g.has_edge(u, v):
                     a[u, v] = 1.0
         expected = tuple(int(round(c)) for c in np.poly(np.linalg.eigvalsh(a)))
-        assert slow.charpoly_adj(g.adj, n) == expected
+        assert kernel.charpoly_adj(g.adj, n) == expected
 
 
 def test_charpoly_matches_faddeev_leverrier_exhaustive_n6():
     for n in range(0, 7):
         for mask in range(1 << (n * (n - 1) // 2)):
             g = from_edge_mask(n, mask)
-            assert slow.charpoly_adj(g.adj, n) == oracles.faddeev_leverrier_charpoly(g)
+            assert kernel.charpoly_adj(g.adj, n) == oracles.faddeev_leverrier_charpoly(g)
 
 
 def large_corpus():
@@ -81,7 +63,7 @@ def large_corpus():
 
 def test_charpoly_matches_faddeev_leverrier_up_to_62():
     for g in large_corpus():
-        assert slow.charpoly_adj(g.adj, g.n) == oracles.faddeev_leverrier_charpoly(g)
+        assert kernel.charpoly_adj(g.adj, g.n) == oracles.faddeev_leverrier_charpoly(g)
 
 
 def jacobi_case(rng, n):
@@ -98,18 +80,13 @@ def test_jacobi_matches_lapack():
     for n in (0, 1, 2, 3, 6, 11, 20, 62):
         flat = jacobi_case(rng, n)
         expect = np.linalg.eigvalsh(np.array(flat).reshape(n, n)) if n else []
-        got = slow.jacobi_eigenvalues(flat, n)
+        got = kernel.jacobi_eigenvalues(flat, n)
         assert np.allclose(got, expect, atol=1e-9)
-        if fast is not None:
-            got_fast = fast.jacobi_eigenvalues(flat, n)
-            assert np.allclose(got_fast, expect, atol=1e-9)
 
 
 def test_jacobi_trivial_sizes():
-    assert slow.jacobi_eigenvalues([], 0) == []
-    assert slow.jacobi_eigenvalues([7.0], 1) == [7.0]
-    if fast is not None:
-        assert fast.jacobi_eigenvalues([7.0], 1) == [7.0]
+    assert kernel.jacobi_eigenvalues([], 0) == []
+    assert kernel.jacobi_eigenvalues([7.0], 1) == [7.0]
 
 
 def adjacency_flat(g):
@@ -127,58 +104,39 @@ def adjacency_flat(g):
     ids=["rook6", "K5x4", "J10_2", "zero12"],
 )
 def test_eigenvalues_high_multiplicity(g, spectrum):
-    got = slow.jacobi_eigenvalues(adjacency_flat(g), g.n)
+    got = kernel.jacobi_eigenvalues(adjacency_flat(g), g.n)
     assert np.allclose(got, oracles.eig_oracle(g), atol=1e-9)
     expect = [v for v, m in spectrum for _ in range(m)]
     assert np.allclose(got, expect, atol=1e-9)
-    assert slow.cluster_count(got, 1e-7) == len(spectrum)
+    assert kernel.cluster_count(got, 1e-7) == len(spectrum)
 
 
 def test_eigenvalue_clusters_match_exact_count_n8():
     rng = random.Random(21)
     for _ in range(1500):
         g = from_edge_mask(8, rng.getrandbits(28))
-        values = slow.jacobi_eigenvalues(adjacency_flat(g), 8)
-        exact = squarefree_degree(list(reversed(slow.charpoly_adj(g.adj, 8))))
-        assert slow.cluster_count(values, 1e-7) == exact
+        values = kernel.jacobi_eigenvalues(adjacency_flat(g), 8)
+        exact = squarefree_degree(list(reversed(kernel.charpoly_adj(g.adj, 8))))
+        assert kernel.cluster_count(values, 1e-7) == exact
 
 
 def test_cluster_count():
     vals = [0.0, 0.0, 1.0, 1.0 + 1e-9, 2.0]
-    assert slow.cluster_count(vals, 1e-7) == 3
-    assert slow.cluster_count(vals, 1e-10) == 4
-    assert slow.cluster_count([], 1e-7) == 0
-    assert slow.cluster_count([5.0], 1e-7) == 1
+    assert kernel.cluster_count(vals, 1e-7) == 3
+    assert kernel.cluster_count(vals, 1e-10) == 4
+    assert kernel.cluster_count([], 1e-7) == 0
+    assert kernel.cluster_count([5.0], 1e-7) == 1
 
 
-def test_pack_unpack_roundtrip():
-    coeffs = (1, 0, -15, 4, 123456789, -3)
-    assert slow.unpack_charpoly(slow.pack_charpoly(coeffs)) == coeffs
-
-
-@both
-def test_sweep_masks_agreement():
-    for n in (1, 2, 3, 4, 5):
-        total = 1 << (n * (n - 1) // 2)
-        ra = fast.sweep_masks(n, 0, total, 1e-7)
-        rb = slow.sweep_masks(n, 0, total, 1e-7)
-        assert ra[0] == rb[0] and ra[1] == rb[1]
-        assert ra[3] == rb[3]
-        assert {k: tuple(v) for k, v in ra[2].items()} == {
-            k: tuple(v) for k, v in rb[2].items()
-        }
-
-
-@both
 def test_sweep_masks_range_split_consistency():
     total = 1 << 10  # n = 5
-    whole = fast.sweep_masks(5, 0, total, 1e-7)
-    left = fast.sweep_masks(5, 0, 300, 1e-7)
-    right = fast.sweep_masks(5, 300, total, 1e-7)
+    whole = kernel.sweep_masks(5, 0, total, 1e-7)
+    left = kernel.sweep_masks(5, 0, 300, 1e-7)
+    right = kernel.sweep_masks(5, 300, total, 1e-7)
     assert whole[0] == left[0] + right[0]
     assert whole[1] == left[1] + right[1]
     assert whole[3] == left[3] + right[3]
-    merged: dict[bytes, list[int]] = {}
+    merged: dict[tuple[int, ...], list[int]] = {}
     for part in (left[2], right[2]):
         for key, (count, mn, mx) in part.items():
             if key in merged:
@@ -194,7 +152,4 @@ def test_sweep_masks_range_split_consistency():
 
 def test_sweep_masks_rejects_large_n():
     with pytest.raises(ValueError):
-        slow.sweep_masks(9, 0, 10, 1e-7)
-    if fast is not None:
-        with pytest.raises(ValueError):
-            fast.sweep_masks(9, 0, 10, 1e-7)
+        kernel.sweep_masks(9, 0, 10, 1e-7)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -203,31 +202,6 @@ def random_regular(n, d, rng):
             return from_edges(n, edges)
 
 
-def cayley_z2z8_lambda4():
-    """The Cayley graphs of Z2 x Z8 with an inverse-closed connection set
-    of size 9 that are edge-regular with lambda = 4."""
-    elems = [(a, b) for a in range(2) for b in range(8)]
-    index = {x: i for i, x in enumerate(elems)}
-
-    def neg(x):
-        return (-x[0] % 2, -x[1] % 8)
-
-    involutions = [x for x in elems[1:] if neg(x) == x]
-    pairs = sorted({tuple(sorted((x, neg(x)))) for x in elems[1:] if neg(x) != x})
-    out = []
-    for ni in (1, 3):
-        for inv in itertools.combinations(involutions, ni):
-            for prs in itertools.combinations(pairs, (9 - ni) // 2):
-                conn = set(inv) | {x for p in prs for x in p}
-                g = from_edges(16, {
-                    tuple(sorted((index[x], index[((x[0] + c[0]) % 2, (x[1] + c[1]) % 8)])))
-                    for x in elems for c in conn
-                })
-                if all((g.adj[u] & g.adj[v]).bit_count() == 4 for u, v in g.edges()):
-                    out.append(g)
-    return out
-
-
 def assert_golden_decomposition(g):
     p = charpoly(g).low_to_high()
     decomp = squarefree_decomposition(p)
@@ -247,7 +221,7 @@ def test_squarefree_decomposition_golden_random_regular():
 
 
 def test_squarefree_decomposition_golden_cayley_z2z8():
-    graphs = cayley_z2z8_lambda4()
+    graphs = oracles.cayley_z2z8_lambda4()
     assert len(graphs) == 8
     # 9, then -3 and -1 +- 2 sqrt(2) twice each: (x + 3)(x^2 + 2x - 7)
     # = x^3 + 5x^2 - x - 21; then (-1)^4 and 1^5
