@@ -823,10 +823,18 @@ class LabeledSweepResult:
     regular_masks: list[int]
     elapsed: float
 
+    @property
+    def graphs_per_s(self) -> float:
+        return self.aggregate.total / self.elapsed
+
     def ok(self) -> bool:
         # strictly Neumaier graphs need >= 16 vertices; seeing one at
         # desk scale is a bug signal, so exhaustive sweeps fail on them
         return self.aggregate.ok() and not self.aggregate.strictly_neumaier
+
+
+#: most graphs one chunk of ``sweep_labeled`` scans (2^(n-1) per base graph)
+_CHUNK_GRAPHS = 1 << 16
 
 
 def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int]]:
@@ -857,20 +865,23 @@ def sweep_labeled(
 ) -> LabeledSweepResult:
     """Run the full labeled-graph sweep on n vertices.
 
-    The kernel scans every edge mask (charpoly + numeric clustering +
-    degree-regularity filter); only the regular graphs go through the
-    full classifier.  Work is split over mask-range chunks; the merged
-    aggregate is independent of worker count and chunking.
+    The kernel scans every edge mask (exact charpoly from the bordered
+    determinant, numeric clustering, degree-regularity filter); only the
+    regular graphs go through the full classifier.  Work is split into
+    chunks of base graphs on n - 1 vertices, each with all 2^(n-1)
+    borders, of at most ``_CHUNK_GRAPHS`` graphs.  The merged aggregate
+    is independent of worker count and chunking, and ``regular_masks``
+    is sorted ascending.
     """
     if not 1 <= n <= 8:
         raise ValueError("labeled sweeps support 1 <= n <= 8")
     ids = _select_theorems(theorems)
     t0 = perf_counter()
-    total = 1 << (n * (n - 1) // 2)
+    bases = 1 << ((n - 1) * (n - 2) // 2)
     # cap chunk size so every worker gets several chunks; chunking never
     # affects the merged aggregate, only scheduling granularity
-    chunk = max(1, min(1 << 16, total // (max(workers, 1) * 8) or total))
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    chunk = max(1, min(_CHUNK_GRAPHS >> (n - 1), bases // (max(workers, 1) * 8) or bases))
+    ranges = [(s, min(s + chunk, bases)) for s in range(0, bases, chunk)]
     args = [(n, a, b, ids, cluster_tol) for a, b in ranges]
     agg = SweepAggregate()
     stats: dict[tuple[int, ...], list[int]] = {}
@@ -891,6 +902,7 @@ def sweep_labeled(
                 entry[1] = min(entry[1], mn)
                 entry[2] = max(entry[2], mx)
         regular_masks.extend(part_regular)
+    regular_masks.sort()
     for key, (count, mn, mx) in stats.items():
         exact = _distinct_from_key(key)
         agg.distinct_histogram[exact] = agg.distinct_histogram.get(exact, 0) + count

@@ -229,11 +229,17 @@ def sweep(n, input, output, format, theorems, tol, workers) -> None:
         if format == "json":
             doc = rpt.aggregate_json(agg)
             doc["ok"] = passed
+            if exhaustive:
+                doc["elapsed_s"] = round(result.elapsed, 6)
+                doc["graphs_per_s"] = round(result.graphs_per_s, 1)
             out.write(json.dumps(doc, sort_keys=True) + "\n")
         elif format == "csv":
             out.write(rpt.aggregate_csv(agg) + "\n")
         else:
             out.write(rpt.aggregate_human(agg) + "\n")
+            if exhaustive:
+                out.write(f"sweep time: {result.elapsed:.3f} s, "
+                          f"{result.graphs_per_s:.0f} graphs/s\n")
     finally:
         if out is not sys.stdout:
             out.close()

@@ -13,6 +13,12 @@ with every (s+1)-clique.  The latter takes its cliques of a given order
 from the package's ``cliques_of_order``, which is checked against
 subset enumeration on its own.
 
+A third keeps the labeled sweep's earlier per-mask scan, which the
+bordered-charpoly kernel must reproduce exactly.  It takes the charpoly,
+eigenvalues and cluster count of each graph from the package's
+single-graph kernels, which are checked against Faddeev-LeVerrier and
+LAPACK on their own.
+
 The eight strictly Neumaier Cayley graphs of Z2 x Z8 are found here by
 search over connection sets, so the spectra and classify tests share
 one positive control.
@@ -23,13 +29,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from neumaier._kernels import charpoly_adj, cluster_count, jacobi_eigenvalues
 from neumaier.cliques import ExtensionReport, cliques_of_order
 from neumaier.errors import ConsistencyError
-from neumaier.graphs import Graph, bits, from_edges
+from neumaier.graphs import Graph, bits, from_edge_mask, from_edges
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -82,6 +89,31 @@ def faddeev_leverrier_charpoly(g: Graph) -> tuple[int, ...]:
         assert r == 0, "Faddeev-LeVerrier division must be exact"
         c.append(q)
     return tuple(c)
+
+
+def reference_sweep_masks(
+    n: int, masks: Iterable[int], tol: float
+) -> tuple[int, int, dict[tuple[int, ...], tuple[int, int, int]], list[int]]:
+    """The per-mask labeled sweep scan: for each edge mask, the charpoly
+    from scratch, the eigenvalues and their cluster count at ``tol``, and
+    a degree filter.  Returns (total, irregular, stats, regular_masks)
+    like ``sweep_masks``, stats as charpoly -> (count, min, max) and the
+    regular masks ascending."""
+    stats: dict[tuple[int, ...], list[int]] = {}
+    regular = []
+    total = 0
+    for mask in sorted(masks):
+        g = from_edge_mask(n, mask)
+        total += 1
+        if len({row.bit_count() for row in g.adj}) == 1:
+            regular.append(mask)
+        flat = [1.0 if g.has_edge(u, v) else 0.0 for u in range(n) for v in range(n)]
+        clusters = cluster_count(jacobi_eigenvalues(flat, n), tol)
+        entry = stats.setdefault(charpoly_adj(g.adj, n), [0, clusters, clusters])
+        entry[0] += 1
+        entry[1] = min(entry[1], clusters)
+        entry[2] = max(entry[2], clusters)
+    return total, total - len(regular), {k: tuple(v) for k, v in stats.items()}, regular
 
 
 def _primitive(p: list[int]) -> list[int]:

@@ -424,11 +424,13 @@ def test_sweep_labeled_matches_generic_sweep_n4():
 
 
 def test_sweep_labeled_worker_independence():
-    a = sweep_labeled(5, workers=1)
-    b = sweep_labeled(5, workers=3)
-    assert aggregate_json(a.aggregate) == aggregate_json(b.aggregate)
-    assert a.charpoly_stats == b.charpoly_stats
-    assert a.regular_masks == b.regular_masks
+    # n = 6 with two workers splits the 1024 base graphs over 16 chunks
+    for n, workers in ((5, 3), (6, 2)):
+        a = sweep_labeled(n, workers=1)
+        b = sweep_labeled(n, workers=workers)
+        assert aggregate_json(a.aggregate) == aggregate_json(b.aggregate)
+        assert a.charpoly_stats == b.charpoly_stats
+        assert a.regular_masks == b.regular_masks == sorted(a.regular_masks)
 
 
 def test_theorem_selection():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -111,7 +112,27 @@ def test_sweep_exhaustive_n4():
 def test_sweep_worker_count_does_not_change_output():
     a = invoke(["sweep", "--n", "5", "--format", "json", "--workers", "1"])
     b = invoke(["sweep", "--n", "5", "--format", "json", "--workers", "4"])
-    assert a.output == b.output
+    # everything but the two timing fields
+    docs = [json.loads(res.output) for res in (a, b)]
+    for doc in docs:
+        del doc["elapsed_s"], doc["graphs_per_s"]
+    assert docs[0] == docs[1]
+
+
+def test_sweep_reports_time_and_throughput(tmp_path):
+    doc = json.loads(invoke(["sweep", "--n", "4", "--format", "json", "--workers", "1"]).output)
+    assert doc["elapsed_s"] > 0
+    assert doc["graphs_per_s"] == pytest.approx(doc["total"] / doc["elapsed_s"], rel=0.01)
+    human = invoke(["sweep", "--n", "4", "--workers", "1"]).output.splitlines()
+    assert re.fullmatch(r"sweep time: \d+\.\d{3} s, \d+ graphs/s", human[-1])
+    assert human[-2] == "verdict: all assertions hold"
+    # a corpus sweep is not timed
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(encode_graph6(rook(3)) + "\n")
+    doc = json.loads(invoke(["sweep", "--input", str(corpus), "--format", "json"]).output)
+    assert "elapsed_s" not in doc and "graphs_per_s" not in doc
+    human = invoke(["sweep", "--input", str(corpus)]).output
+    assert "sweep time" not in human and human.endswith("verdict: all assertions hold\n")
 
 
 def test_sweep_corpus_input(tmp_path):

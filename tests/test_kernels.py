@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -128,12 +129,67 @@ def test_cluster_count():
     assert kernel.cluster_count([5.0], 1e-7) == 1
 
 
+def labeled_sweep(n, start, stop):
+    """``sweep_masks`` over bases [start, stop) with stats as tuples, and
+    the edge masks that range covers."""
+    total, irregular, stats, regular = kernel.sweep_masks(n, start, stop, 1e-7)
+    shift = (n - 1) * (n - 2) // 2
+    borders = range(1 << (n - 1))
+    masks = [base | border << shift for base in range(start, stop) for border in borders]
+    return (total, irregular, {k: tuple(v) for k, v in stats.items()}, regular), masks
+
+
+def test_sweep_masks_matches_per_mask_scan_exhaustive_n6():
+    for n in range(1, 7):
+        bases = 1 << ((n - 1) * (n - 2) // 2)
+        (total, irregular, stats, regular), masks = labeled_sweep(n, 0, bases)
+        assert sorted(masks) == list(range(1 << (n * (n - 1) // 2)))
+        # keys with their counts, the cluster range per key, and the
+        # brute-force degree filter
+        ref = oracles.reference_sweep_masks(n, masks, 1e-7)
+        assert (total, irregular, stats) == ref[:3]
+        assert sorted(regular) == ref[3]
+
+
+def test_sweep_masks_matches_per_mask_scan_seeded_n7_n8():
+    rng = random.Random(2207)
+    for n, width, draws in ((7, 4, 2), (8, 2, 2)):
+        top = 1 << ((n - 1) * (n - 2) // 2)
+        # the empty and the complete base, whose borders reach K_n
+        ranges = [(0, 1), (top - 1, top)]
+        for _ in range(draws):
+            start = rng.randrange(top - width)
+            ranges.append((start, start + width))
+        for start, stop in ranges:
+            (total, irregular, stats, regular), masks = labeled_sweep(n, start, stop)
+            ref = oracles.reference_sweep_masks(n, masks, 1e-7)
+            assert (total, irregular, stats) == ref[:3], (n, start)
+            assert sorted(regular) == ref[3]
+
+
+def test_charpoly_key_lanes_hold_the_coefficient_bound():
+    for n in range(1, 9):
+        w = kernel._slow._lane_bits(n)
+        bound = kernel._slow._coeff_bound(n)
+        assert bound == max(math.floor(math.comb(n, k) * (n - 1) ** (k / 2)) for k in range(n + 1))
+        for signs in ((1,) * n, (-1,) * n, tuple((-1) ** k for k in range(n))):
+            coeffs = (1,) + tuple(s * bound for s in signs)
+            key = kernel._slow._pack(coeffs, w)
+            assert kernel._slow._unpack_key(key, n, w) == coeffs
+        half = 1 << (w - 2)
+        for bad in (half, -half - 1):
+            with pytest.raises(ArithmeticError):
+                kernel._slow._unpack_key(kernel._slow._pack((1,) + (bad,) * n, w), n, w)
+        with pytest.raises(ArithmeticError):
+            kernel._slow._unpack_key(kernel._slow._pack((1,) + (0,) * n + (1,), w), n, w)
+
+
 def test_sweep_masks_range_split_consistency():
-    total = 1 << 10  # n = 5
-    whole = kernel.sweep_masks(5, 0, total, 1e-7)
-    left = kernel.sweep_masks(5, 0, 300, 1e-7)
-    right = kernel.sweep_masks(5, 300, total, 1e-7)
-    assert whole[0] == left[0] + right[0]
+    bases = 1 << 6  # n = 5
+    whole = kernel.sweep_masks(5, 0, bases, 1e-7)
+    left = kernel.sweep_masks(5, 0, 23, 1e-7)
+    right = kernel.sweep_masks(5, 23, bases, 1e-7)
+    assert whole[0] == left[0] + right[0] == 1 << 10
     assert whole[1] == left[1] + right[1]
     assert whole[3] == left[3] + right[3]
     merged: dict[tuple[int, ...], list[int]] = {}
@@ -153,3 +209,5 @@ def test_sweep_masks_range_split_consistency():
 def test_sweep_masks_rejects_large_n():
     with pytest.raises(ValueError):
         kernel.sweep_masks(9, 0, 10, 1e-7)
+    with pytest.raises(ValueError):
+        kernel.sweep_masks(5, 0, 65, 1e-7)
