@@ -1,7 +1,8 @@
 """The hot loops of the spectral layer, in pure Python.
 
-``charpoly_adj`` (power sums over packed-lane rows), ``jacobi_eigenvalues``
-(Householder + implicit QL) and ``cluster_count`` serve single graphs.
+``charpoly_adj`` (power sums over packed-lane rows whose byte-aligned
+lanes widen with the power), ``jacobi_eigenvalues`` (Householder +
+implicit QL) and ``cluster_count`` serve single graphs.
 ``sweep_masks`` scans the exhaustive labeled sweep over ranges of base
 graphs on n - 1 vertices.  It borders each base with every neighbourhood
 of vertex n - 1 in Gray-code order and gets each graph's exact charpoly
@@ -22,6 +23,7 @@ its one span.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, copysign, hypot, isqrt, sqrt
 from operator import add, mul, sub
 
@@ -42,36 +44,117 @@ def charpoly_adj(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
     Power sums p_k = tr(A^k) for k = 1..n, then Newton's identities
     k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1)  (division exact).
 
-    Row i of A^k is packed into one int, entry j in bits [j w, (j+1) w),
-    so row i of A^(k+1) is the plain sum of the packed rows of i's
-    neighbours.  An entry of A^k (k >= 1) counts walks, at most D^(k-1)
-    for maximum degree D, so lanes of w = (n-1) bitlen(D) + 1 bits never
-    carry into each other up to k = n.
+    Row i of A^k is packed into one int, entry j in lane j of b whole
+    bytes, so row i of A^k is the plain sum of the packed rows of A^(k-1)
+    over N(i).  A dense row (deg(i) > n/2) can instead be T minus the rows
+    outside N(i), i included, with T the sum of all n rows: packing is
+    linear over the integers and every lane of the result is an entry of
+    A^k >= 0, so the subtraction is exact.  T costs n additions a power,
+    so the dense rows take this form only when together they save more.
+
+    Lanes never carry into each other.  An entry of A^k counts k-walks
+    between two vertices, at most D^(k-1) for maximum degree D; a lane of
+    T is a column sum of A^(k-1), the number of (k-1)-walks from one
+    vertex, at most D^(k-1) too.  So power k needs lanes of
+    bytes(D^(k-1)) bytes.  The lanes widen in stages (``_lane_stages``,
+    which depends only on n and D) and the rows are repacked into the
+    wider lanes at each stage boundary; at n = 62 and D = 28 they grow
+    from 4 to 37 bytes over ten stages.
     Returns (1, c_1, ..., c_n): coefficient of x^(n-i) at index i.
     """
-    nbrs = []
+    plan = []  # the rows of A^(k-1) summed for row i of A^k
     for a in adj:
-        nb = []
+        js = []
         while a:
             low = a & -a
-            nb.append(low.bit_length() - 1)
+            js.append(low.bit_length() - 1)
             a ^= low
-        nbrs.append(nb)
-    w = (n - 1) * max(map(len, nbrs), default=0).bit_length() + 1
-    lane = (1 << w) - 1
-    shifts = [i * w for i in range(n)]
-    rows = [1 << s for s in shifts]
+        plan.append(js)
+    top = max(map(len, plan), default=0)
+    dense = [i for i, js in enumerate(plan) if 2 * len(js) > n]
+    if sum(2 * len(plan[i]) - n for i in dense) > n:
+        for i in dense:
+            plan[i] = [j for j in range(n) if not adj[i] >> j & 1]
+    else:
+        dense = []
+    stages = _lane_stages(top, n)
+    b = stages[0][0]
+    rows = [1 << (8 * b * i) for i in range(n)]
     c = [1]
     sums: list[int] = []
-    for k in range(1, n + 1):
-        rows = [sum(map(rows.__getitem__, nb)) for nb in nbrs]
-        p = sum([(r >> s) & lane for r, s in zip(rows, shifts)])
-        q, r = divmod(-p - sum(map(mul, c[1:], reversed(sums))), k)
-        if r:
-            raise ArithmeticError("Newton identity division not exact")
-        c.append(q)
-        sums.append(p)
+    k = 0
+    for width, powers in stages:
+        if width > b:
+            _widen(rows, n, b, width)
+            b = width
+        lane = (1 << (8 * b)) - 1
+        shifts = [8 * b * i for i in range(n)]
+        for k in range(k + 1, k + 1 + powers):
+            get = rows.__getitem__
+            total = sum(rows) if dense else 0
+            rows = [sum(map(get, js)) for js in plan]
+            del get  # frees the rows of A^(k-1)
+            for i in dense:
+                rows[i] = total - rows[i]
+            p = sum([(r >> s) & lane for r, s in zip(rows, shifts)])
+            q, r = divmod(-p - sum(map(mul, c[1:], reversed(sums))), k)
+            if r:
+                raise ArithmeticError("Newton identity division not exact")
+            c.append(q)
+            sums.append(p)
     return tuple(c)
+
+
+#: the charpoly lanes widen in steps of this many bytes: a repack costs
+#: about half a power at n = 62, and 4 bytes balances the two
+_STAGE_BYTES = 4
+
+
+@lru_cache(maxsize=4096)  # every (D, n) with D < n <= 62 is 1953 entries
+def _lane_stages(top: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(lane bytes, number of powers) for the successive stages of
+    ``charpoly_adj`` with maximum degree ``top``: power k needs
+    bytes(top^(k-1)) bytes, rounded up to a multiple of _STAGE_BYTES and
+    capped at the bytes of power n, which the last stage uses."""
+    last = _lane_bytes(top ** max(n - 1, 0))
+    stages = []
+    done, walks = 0, 1  # powers staged, top^done
+    while True:
+        width = min(last, -(-_lane_bytes(walks) // _STAGE_BYTES) * _STAGE_BYTES)
+        if width == last:
+            stages.append((width, n - done))
+            return tuple(stages)
+        limit = 1 << 8 * width
+        powers = 0
+        while walks < limit:
+            walks *= top
+            powers += 1
+        stages.append((width, powers))
+        done += powers
+
+
+def _lane_bytes(bound: int) -> int:
+    """Whole bytes that hold every integer in [0, bound], at least one."""
+    return max(1, bound.bit_length() + 7 >> 3)
+
+
+def _widen(rows: list[int], n: int, b: int, width: int) -> None:
+    """Repack rows of n lanes of b bytes, in place, into lanes of
+    ``width`` bytes: byte q of every lane moves with one strided slice
+    assignment.  The old rows are freed before the new ones are built, so
+    a repack holds no more memory at once than a power step does."""
+    size = n * b
+    src = bytearray(n * size)
+    for i, r in enumerate(rows):
+        src[i * size : (i + 1) * size] = r.to_bytes(size, "little")
+    rows.clear()
+    dst = bytearray(n * n * width)
+    for q in range(b):
+        dst[q::width] = src[q::b]
+    del src
+    size = n * width
+    view = memoryview(dst)
+    rows.extend(int.from_bytes(view[i : i + size], "little") for i in range(0, n * size, size))
 
 
 def jacobi_eigenvalues(flat: list[float], n: int) -> list[float]:

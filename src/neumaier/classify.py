@@ -24,10 +24,9 @@ from ._iso import ISO_MAX_N, are_isomorphic
 from .cliques import (
     CliqueReport,
     ExtensionReport,
+    RegularCliques,
     cliques_of_order,
     extension_hypothesis_holds,
-    max_clique_order,
-    maximal_cliques,
     regular_cliques,
 )
 from .errors import ConsistencyError
@@ -131,14 +130,18 @@ class Analysis:
         return is_complete_multipartite(self.graph)
 
     @cached_property
-    def regular_cliques(self) -> list[CliqueReport]:
+    def regular_cliques(self) -> RegularCliques:
         if self.graph.n == 0 or self.is_complete:
-            return []
+            return RegularCliques()
         return regular_cliques(self.graph)
 
     @cached_property
     def max_clique_order(self) -> int:
-        return max_clique_order(self.graph)
+        """Largest maximal-clique order, from the pass that found the
+        regular cliques; K_n has one maximal clique, of order n."""
+        if self.graph.n == 0 or self.is_complete:
+            return self.graph.n
+        return self.regular_cliques.max_order
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -390,11 +393,13 @@ def is_one_walk_regular(g: Graph, ctx: Analysis | None = None) -> bool:
     d = ctx.spectrum.distinct_count
     edges = list(g.edges())
     power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(d):
+    for length in range(d):
         if len({power[i][i] for i in range(n)}) > 1:
             return False
         if edges and len({power[u][v] for u, v in edges}) > 1:
             return False
+        if length == d - 1:
+            break
         nxt = []
         for i in range(n):
             rows = [power[j] for j in bits(g.adj[i])]

@@ -40,6 +40,14 @@ class ExtensionReport:
     maximal_all_order_s1: bool
 
 
+class RegularCliques(list):
+    """The regular cliques of a graph, as a list of CliqueReport, with
+    ``max_order``, the largest order of any maximal clique, taken from the
+    same enumeration."""
+
+    max_order: int = 0
+
+
 def maximal_cliques(g: Graph) -> Iterator[int]:
     """All maximal cliques, each exactly once, as vertex bitsets.
 
@@ -99,9 +107,10 @@ def outside_counts(g: Graph, clique: int) -> list[int]:
     return [(g.adj[x] & clique).bit_count() for x in bits(rest)]
 
 
-def regular_cliques(g: Graph) -> list[CliqueReport]:
+def regular_cliques(g: Graph) -> RegularCliques:
     """Maximal cliques C whose outside vertices all see the same positive
-    number of members.
+    number of members, with the largest maximal-clique order as
+    ``max_order``, in one pass over the maximal cliques.
 
     In an edge-regular graph all regular cliques share one order; that is
     cross-checked and a violation raises ConsistencyError.  (General
@@ -111,8 +120,12 @@ def regular_cliques(g: Graph) -> list[CliqueReport]:
         raise ValueError("regular cliques are undefined for complete graphs")
     adj = g.adj
     full = (1 << g.n) - 1
-    out: list[CliqueReport] = []
+    out = RegularCliques()
+    top = 0
     for c in maximal_cliques(g):
+        order = c.bit_count()
+        if order > top:
+            top = order
         rest = full ^ c
         low = rest & -rest
         e = (adj[low.bit_length() - 1] & c).bit_count()
@@ -125,7 +138,8 @@ def regular_cliques(g: Graph) -> list[CliqueReport]:
                 break
             rest ^= low
         else:
-            out.append(CliqueReport(c, c.bit_count(), True, True, e))
+            out.append(CliqueReport(c, order, True, True, e))
+    out.max_order = top
     if len({r.order for r in out}) > 1:
         from .regularity import edge_regular_params
 

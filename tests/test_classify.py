@@ -193,6 +193,40 @@ def test_not_one_walk_regular_example():
     assert not is_one_walk_regular(prism)
 
 
+def walk_regular_every_length(g):
+    """1-walk-regularity checked on every length 0..n, with no appeal to
+    the distinct-eigenvalue count."""
+    n = g.n
+    a = [[1 if g.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n + 1):
+        if len({power[i][i] for i in range(n)}) > 1:
+            return False
+        if len({power[u][v] for u, v in g.edges()}) > 1:
+            return False
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in power]
+    return True
+
+
+def test_walk_regularity_stops_at_the_last_needed_power():
+    # the check builds A^l for l < distinct_count only; the verdict must
+    # match the check over every length up to n
+    from neumaier.graphs import from_edge_mask, is_connected
+    from neumaier.regularity import is_regular
+
+    seen = {True: 0, False: 0}
+    for n in range(2, 7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = from_edge_mask(n, mask)
+            if g.edge_count() and is_regular(g) and is_connected(g):
+                verdict = is_one_walk_regular(g)
+                assert verdict == walk_regular_every_length(g), (n, mask)
+                seen[verdict] += 1
+    for g in (oracles.cayley_z2z8_lambda4()[0], rook(4), complement(rook(4))):
+        assert is_one_walk_regular(g) == walk_regular_every_length(g)
+    assert seen[True] and seen[False]
+
+
 def test_walk_regular_theorem_outcomes():
     out = classify(rook(5)).theorems["walk"]
     assert out.status == "holds" and not out.vacuous

@@ -288,3 +288,45 @@ def test_regular_iff_equitable_positive_on_regular_graphs():
                 reg = counts[0] > 0 and len(set(counts)) == 1
                 eq = is_equitable_bipartition(g, c)
                 assert reg == (eq.equitable and eq.quotient[1][0] > 0)
+
+
+def test_regular_cliques_carry_the_largest_maximal_clique_order():
+    rng = random.Random(44)
+    graphs = [rook(5), petersen(), cycle(5), complement(rook(4)), complete_multipartite(4, 3)]
+    graphs += [from_edge_mask(8, rng.getrandbits(28)) for _ in range(60)]
+    for g in graphs:
+        from neumaier.graphs import is_complete
+
+        if g.n == 0 or is_complete(g):
+            continue
+        assert regular_cliques(g).max_order == max_clique_order(g)
+
+
+def test_classify_enumerates_maximal_cliques_once_per_graph(monkeypatch):
+    """The regular cliques and the largest clique order come from one
+    enumeration; only the extension check, when its hypothesis holds,
+    walks the maximal cliques again."""
+    import neumaier.cliques as cq
+    from neumaier.classify import Analysis, classify
+
+    passes = []
+    original = cq.maximal_cliques
+
+    def counted(g):
+        passes.append(g)
+        return original(g)
+
+    monkeypatch.setattr(cq, "maximal_cliques", counted)
+    extended = 0
+    for g in (petersen(), johnson2(6), rook(4), complement(rook(4)), complete_multipartite(3, 3)):
+        passes.clear()
+        ext = classify(g).theorems["extension"]
+        # the extension verifier's own pass runs only once its hypothesis holds
+        again = ext.status == "holds" and not ext.vacuous
+        extended += again
+        assert len(passes) == 1 + again
+    assert extended >= 2
+    ctx = Analysis(complement(petersen()))
+    passes.clear()
+    assert ctx.max_clique_order == max_clique_order(complement(petersen())) == 4
+    assert len(passes) == 2  # the Analysis pass and the reference one

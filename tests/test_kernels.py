@@ -67,6 +67,126 @@ def test_charpoly_matches_faddeev_leverrier_up_to_62():
         assert kernel.charpoly_adj(g.adj, g.n) == oracles.faddeev_leverrier_charpoly(g)
 
 
+def circulant(n, offsets):
+    """Cayley graph of Z_n with connection set {±o : o in offsets}."""
+    return from_edges(n, {tuple(sorted((v, (v + o) % n))) for v in range(n) for o in offsets})
+
+
+def regular_circulant(n, d):
+    """A d-regular circulant on n vertices (n d even)."""
+    offsets = list(range(1, d // 2 + 1))
+    if d % 2:
+        offsets.append(n // 2)
+    g = circulant(n, offsets)
+    assert all(g.degree(v) == d for v in range(n))
+    return g
+
+
+def capped_random(rng, n, top, p=0.5):
+    """Random graph with maximum degree exactly ``top``: vertex 0 is
+    joined to 1..top first, then random edges that keep every degree
+    <= top."""
+    edges = {(0, v) for v in range(1, top + 1)}
+    deg = [top] + [1] * top + [0] * (n - top - 1)
+    for v in range(1, n):
+        for u in range(1, v):
+            if deg[u] < top and deg[v] < top and rng.random() < p:
+                edges.add((u, v))
+                deg[u] += 1
+                deg[v] += 1
+    return from_edges(n, edges)
+
+
+def assert_charpoly_exact(g):
+    assert kernel.charpoly_adj(g.adj, g.n) == oracles.faddeev_leverrier_charpoly(g), g.n
+
+
+def test_charpoly_at_the_complement_switch():
+    # regular graphs of degree floor(n/2) and ceil(n/2) (and one above):
+    # the dense-row switch deg > n/2, and the point where the dense rows
+    # save more additions than T costs
+    for n in (7, 8, 9, 31, 32, 61, 62):
+        for d in sorted({n // 2, (n + 1) // 2, n // 2 + 1, n // 2 + 2}):
+            if n * d % 2 == 0:
+                assert_charpoly_exact(regular_circulant(n, d))
+    # rows of both degrees in one graph: a (2h)-regular circulant on
+    # n = 4h + 1 vertices plus a matching that lifts 2h of them
+    for h in (2, 7, 15):
+        n = 4 * h + 1
+        g = circulant(n, range(1, h + 1))
+        mixed = from_edges(n, list(g.edges()) + [(v, v + 2 * h) for v in range(h)])
+        degrees = {mixed.degree(v) for v in range(n)}
+        assert degrees == {n // 2, (n + 1) // 2}
+        assert_charpoly_exact(mixed)
+
+
+def test_charpoly_one_dense_row_among_sparse_ones():
+    # the hub alone saves fewer additions than T costs, so the star's
+    # rows all stay plain sums
+    star = from_edges(62, [(0, v) for v in range(1, 62)])
+    assert_charpoly_exact(star)
+    # two hubs save more than T costs, so their rows take the complement
+    # form while the 60 others stay plain sums
+    assert_charpoly_exact(from_edges(62, [(h, v) for h in (0, 1) for v in range(2, 62)]))
+    rng = random.Random(31)
+    hubs = from_edges(62, [(h, v) for h in (0, 1, 2) for v in range(3, 62)]
+                      + [(u, v) for v in range(3, 62) for u in range(3, v) if rng.random() < 0.05])
+    assert_charpoly_exact(hubs)
+
+
+def test_charpoly_perfect_matching():
+    for n in (2, 8, 62):
+        assert_charpoly_exact(from_edges(n, [(v, v + 1) for v in range(0, n, 2)]))
+
+
+def test_charpoly_degree_at_bit_length_jumps():
+    # D = 2^j - 1 and 2^j: bitlen(D) and every lane width jump there
+    for d in (15, 16, 31, 32):
+        assert_charpoly_exact(regular_circulant(62, d))
+        assert_charpoly_exact(capped_random(random.Random(d), 40, d))
+
+
+def test_charpoly_every_order_at_a_stage_boundary():
+    """Every n from 0 to 62 once.  Where some maximum degree D puts power
+    n alone in a new, wider lane stage, the graph has that D; the stage
+    that has to hold D^(n-1) is then the one just opened."""
+    rng = random.Random(62)
+    stages = kernel._slow._lane_stages
+    at_boundary = 0
+    for n in range(63):
+        tops = [d for d in range(2, n) if len(stages(d, n)) > 1 and stages(d, n)[-1][1] == 1]
+        top = rng.choice(tops) if tops else max(0, n - 1 - rng.randrange(n or 1))
+        at_boundary += bool(tops)
+        g = capped_random(rng, n, top, p=0.3) if n else from_edges(0, [])
+        assert max((g.degree(v) for v in range(n)), default=0) == top
+        assert_charpoly_exact(g)
+    assert at_boundary >= 40
+
+
+def test_charpoly_dense_regular_at_62():
+    assert_charpoly_exact(complete(62))  # degree 61
+    assert_charpoly_exact(complete_multipartite(31, 2))  # degree 60
+    assert_charpoly_exact(regular_circulant(62, 59))
+    rng = random.Random(90)
+    assert_charpoly_exact(
+        from_edges(62, [(u, v) for v in range(62) for u in range(v) if rng.random() < 0.9])
+    )
+
+
+def test_lane_stages_cover_every_power():
+    stages = kernel._slow._lane_stages
+    for n in range(63):
+        for top in range(n):
+            plan = stages(top, n)
+            assert sum(powers for _, powers in plan) == n
+            widths = [w for w, _ in plan]
+            assert widths == sorted(set(widths))
+            k = 0
+            for width, powers in plan:
+                for k in range(k + 1, k + 1 + powers):
+                    assert (top ** (k - 1)).bit_length() <= 8 * width
+
+
 def jacobi_case(rng, n):
     flat = [0.0] * (n * n)
     for i in range(n):
