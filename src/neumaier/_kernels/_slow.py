@@ -327,8 +327,9 @@ def sweep_masks(
 ) -> tuple[int, int, dict[tuple[int, ...], list[int]], list[int]]:
     """Scan every labeled n-vertex graph whose base mask is in [start, stop).
 
-    Edge mask bit t is pair t of ``graphs.pair_order``; the pairs of vertex
-    n-1 come last, so a mask is base | border << (n-1)(n-2)/2, with the
+    Edge mask bit t is the t-th vertex pair (i, j), i < j, in column-major
+    (graph6) order: by j, then by i.  The pairs of vertex n-1 therefore
+    come last, so a mask is base | border << (n-1)(n-2)/2, with the
     base an (n-1)-vertex graph G and the border S the neighbourhood of
     vertex n-1.  Per base, φ_G and the packed adjugate P of xI - A are
     computed once, then the 2^(n-1) borders are walked in Gray-code order.

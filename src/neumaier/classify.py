@@ -93,9 +93,8 @@ class Analysis:
     context so each quantity is computed once per graph.
     """
 
-    def __init__(self, g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL):
+    def __init__(self, g: Graph):
         self.graph = g
-        self.cluster_tol = cluster_tol
 
     @cached_property
     def graph6(self) -> str | None:
@@ -145,7 +144,7 @@ class Analysis:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return spectrum(self.graph, self.cluster_tol)
+        return spectrum(self.graph)
 
     @cached_property
     def avg(self) -> AvgParams | None:
@@ -557,14 +556,10 @@ def _select_theorems(theorems: Sequence[str] | None) -> tuple[str, ...]:
     return tuple(theorems)
 
 
-def classify(
-    g: Graph,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    theorems: Sequence[str] | None = None,
-) -> ClassReport:
+def classify(g: Graph, theorems: Sequence[str] | None = None) -> ClassReport:
     """Full taxonomy verdict for one graph, with every selected theorem
     verifier's outcome recorded."""
-    ctx = Analysis(g, cluster_tol)
+    ctx = Analysis(g)
     ids = _select_theorems(theorems)
     outcomes = {tid: VERIFIERS[tid](g, ctx) for tid in ids}
     s_e = ctx.s_e
@@ -806,15 +801,13 @@ class SweepAggregate:
 
 
 def sweep_verify(
-    corpus: Iterable[Graph],
-    theorems: Sequence[str] | None = None,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    corpus: Iterable[Graph], theorems: Sequence[str] | None = None
 ) -> SweepAggregate:
     """Classify every graph of a corpus and aggregate the verdicts."""
     ids = _select_theorems(theorems)
     agg = SweepAggregate()
     for g in corpus:
-        agg.add_report(classify(g, cluster_tol, ids))
+        agg.add_report(classify(g, ids))
     return agg
 
 
@@ -843,8 +836,10 @@ _CHUNK_GRAPHS = 1 << 16
 
 
 def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int]]:
-    n, start, stop, ids, tol = args
-    total, irregular, stats, regular = _kernels.sweep_masks(n, start, stop, tol)
+    n, start, stop, ids = args
+    total, irregular, stats, regular = _kernels.sweep_masks(
+        n, start, stop, DEFAULT_CLUSTER_TOL
+    )
     agg = SweepAggregate()
     agg.total = total - len(regular)
     agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] = irregular
@@ -857,26 +852,25 @@ def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int]]:
             st["holds"] += irregular
             st["vacuous"] += irregular
     for mask in regular:
-        rep = classify(from_edge_mask(n, mask), tol, ids)
+        rep = classify(from_edge_mask(n, mask), ids)
         agg.add_report(rep, with_histogram=False)
     return agg, stats, regular
 
 
 def sweep_labeled(
-    n: int,
-    theorems: Sequence[str] | None = None,
-    workers: int = 1,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    n: int, theorems: Sequence[str] | None = None, workers: int = 1
 ) -> LabeledSweepResult:
     """Run the full labeled-graph sweep on n vertices.
 
     The kernel scans every edge mask (exact charpoly from the bordered
-    determinant, numeric clustering, degree-regularity filter); only the
-    regular graphs go through the full classifier.  Work is split into
-    chunks of base graphs on n - 1 vertices, each with all 2^(n-1)
-    borders, of at most ``_CHUNK_GRAPHS`` graphs.  The merged aggregate
-    is independent of worker count and chunking, and ``regular_masks``
-    is sorted ascending.
+    determinant, the numeric cluster count at the fixed
+    ``DEFAULT_CLUSTER_TOL``, degree-regularity filter); only the regular
+    graphs go through the full classifier.  A cluster count that differs
+    from the exact distinct count is tallied in ``cluster_mismatches``.
+    Work is split into chunks of base graphs on n - 1 vertices, each with
+    all 2^(n-1) borders, of at most ``_CHUNK_GRAPHS`` graphs.  The merged
+    aggregate is independent of worker count and chunking, and
+    ``regular_masks`` is sorted ascending.
     """
     if not 1 <= n <= 8:
         raise ValueError("labeled sweeps support 1 <= n <= 8")
@@ -887,7 +881,7 @@ def sweep_labeled(
     # affects the merged aggregate, only scheduling granularity
     chunk = max(1, min(_CHUNK_GRAPHS >> (n - 1), bases // (max(workers, 1) * 8) or bases))
     ranges = [(s, min(s + chunk, bases)) for s in range(0, bases, chunk)]
-    args = [(n, a, b, ids, cluster_tol) for a, b in ranges]
+    args = [(n, a, b, ids) for a, b in ranges]
     agg = SweepAggregate()
     stats: dict[tuple[int, ...], list[int]] = {}
     regular_masks: list[int] = []

@@ -1,12 +1,16 @@
 """Command-line surface: analyze graph6 streams, generate family members,
 run verification sweeps, and evaluate the four-eigenvalue refuter.
 
+Numeric eigenvalues are split into clusters at their d - 1 widest gaps,
+with d the exact distinct-eigenvalue count; there is no tolerance to set.
+
 Exit codes: 0 clean, 2 parse/parameter error, 3 internal consistency
 error (two computations disagree, numeric against exact spectra
-included), 4 sweep assertion failure.  Every option also reads an
-environment variable named NEUMAIER_<COMMAND>_<OPTION> (e.g.
-NEUMAIER_SWEEP_WORKERS); flags win over the environment, which wins over
-defaults.
+included: no gap threshold in [1e-13, 1.0] separates those clusters, or
+their sizes miss the exact multiplicities), 4 sweep assertion failure.
+Every option also reads an environment variable named
+NEUMAIER_<COMMAND>_<OPTION> (e.g. NEUMAIER_SWEEP_WORKERS); flags win
+over the environment, which wins over defaults.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .classify import (
 from .errors import ConsistencyError, Graph6Error, SpectralResolutionError
 from .graphs import FAMILIES, decode_graph6, encode_graph6
 from .graphs import generate as generate_family
-from .spectra import DEFAULT_CLUSTER_TOL
 
 EXIT_PARSE = 2
 EXIT_CONSISTENCY = 3
@@ -70,9 +73,8 @@ def _read_graphs(path: str):
             fh.close()
 
 
-def _classify_record(args):
-    g, tol = args
-    return rpt.class_report_json(classify(g, cluster_tol=tol))
+def _classify_record(g):
+    return rpt.class_report_json(classify(g))
 
 
 @main.command()
@@ -81,24 +83,20 @@ def _classify_record(args):
 @click.option("--output", "output", default="-", show_default=True)
 @click.option("--format", "format", default="json",
               type=click.Choice(["json", "csv", "human"]), show_default=True)
-@click.option("--tol", default=DEFAULT_CLUSTER_TOL, show_default=True,
-              help="eigenvalue clustering tolerance")
 @click.option("--workers", default=1, show_default=True)
-def analyze(input, output, format, tol, workers) -> None:
+def analyze(input, output, format, workers) -> None:
     """Classify each input graph and emit one report per line."""
-    if tol <= 0 or workers < 1:
-        click.echo("tol must be positive and workers >= 1", err=True)
+    if workers < 1:
+        click.echo("workers must be >= 1", err=True)
         sys.exit(EXIT_PARSE)
     graphs = [g for _, g in _read_graphs(input)]
     out = _open_out(output)
     try:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as ex:
-                records = list(
-                    ex.map(_classify_record, [(g, tol) for g in graphs], chunksize=8)
-                )
+                records = list(ex.map(_classify_record, graphs, chunksize=8))
         else:
-            records = [_classify_record((g, tol)) for g in graphs]
+            records = [_classify_record(g) for g in graphs]
         if format == "csv":
             out.write(rpt.CSV_HEADER + "\n")
         for rec in records:
@@ -197,17 +195,16 @@ def _parse_theorems(text: str | None):
               type=click.Choice(["json", "csv", "human"]), show_default=True)
 @click.option("--theorems", default=None,
               help=f"comma-separated subset of: {', '.join(THEOREM_IDS)}")
-@click.option("--tol", default=DEFAULT_CLUSTER_TOL, show_default=True)
 @click.option("--workers", default=None, type=int,
               help="worker processes for exhaustive sweeps [default: cpu-bound]")
-def sweep(n, input, output, format, theorems, tol, workers) -> None:
+def sweep(n, input, output, format, theorems, workers) -> None:
     """Verify every selected theorem over a corpus or an exhaustive
     enumeration; exits 4 when any assertion fails."""
     if (n is None) == (input is None):
         click.echo("provide exactly one of --n or --input", err=True)
         sys.exit(EXIT_PARSE)
-    if tol <= 0 or (workers is not None and workers < 1):
-        click.echo("tol must be positive and workers >= 1", err=True)
+    if workers is not None and workers < 1:
+        click.echo("workers must be >= 1", err=True)
         sys.exit(EXIT_PARSE)
     ids = _parse_theorems(theorems)
     exhaustive = n is not None
@@ -216,10 +213,10 @@ def sweep(n, input, output, format, theorems, tol, workers) -> None:
             if not 1 <= n <= 8:
                 click.echo("sweep needs 1 <= n <= 8", err=True)
                 sys.exit(EXIT_PARSE)
-            result = sweep_labeled(n, ids, workers or default_sweep_workers(), tol)
+            result = sweep_labeled(n, ids, workers or default_sweep_workers())
             agg, passed = result.aggregate, result.ok()
         else:
-            agg = sweep_verify((g for _, g in _read_graphs(input)), ids, tol)
+            agg = sweep_verify((g for _, g in _read_graphs(input)), ids)
             passed = agg.ok()
     except INTERNAL_ERRORS as exc:
         click.echo(f"internal consistency error: {exc}", err=True)

@@ -36,8 +36,6 @@ class EquitableBipartition:
 class ExtensionReport:
     holds: bool
     witness: int | None  # first (e+1)-clique with no extension
-    unique_extension: bool
-    maximal_all_order_s1: bool
 
 
 class RegularCliques(list):
@@ -217,7 +215,7 @@ def extension_hypothesis_holds(g: Graph, e: int, s: int) -> ExtensionReport:
             common &= adj[v]
         containing = _count_cliques_within(adj, common, s - e, 2)
         if containing == 0:
-            return ExtensionReport(False, h, False, False)
+            return ExtensionReport(False, h)
         if containing != 1:
             unique = False
     all_s1 = all(c.bit_count() == s + 1 for c in maximal_cliques(g))
@@ -229,7 +227,7 @@ def extension_hypothesis_holds(g: Graph, e: int, s: int) -> ExtensionReport:
         raise ConsistencyError(
             "extension hypothesis holds but a maximal clique misses order s+1"
         )
-    return ExtensionReport(True, None, unique, all_s1)
+    return ExtensionReport(True, None)
 
 
 def _count_cliques_within(adj: list[int], cand: int, t: int, limit: int) -> int:

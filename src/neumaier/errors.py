@@ -16,8 +16,10 @@ class Graph6Error(ValueError):
 
 
 class SpectralResolutionError(RuntimeError):
-    """Numeric eigenvalue clusters cannot be reconciled with the exact
-    distinct-eigenvalue count within the tolerance floor."""
+    """Numeric eigenvalues cannot be reconciled with the exact spectrum:
+    no gap threshold in [1e-13, 1.0] splits them into the exact number
+    of distinct eigenvalues, or the cluster sizes miss the exact
+    multiplicities."""
 
 
 class DegenerateSpectrumError(ValueError):

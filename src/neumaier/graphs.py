@@ -8,16 +8,16 @@ word-parallel AND/OR/popcount on those ints.
 
 Edge masks: many routines address the upper-triangle pairs of an
 ``n``-vertex graph through a single integer whose bit ``t`` stands for
-pair ``pair_order(n)[t]``.  The pair order is column-major --
-``(0,1), (0,2), (1,2), (0,3), ...`` -- which is exactly the bit order of
-the graph6 format, so mask <-> graph6 conversion is pure bit shuffling.
+the ``t``-th pair in column-major order -- ``(0,1), (0,2), (1,2), (0,3),
+...``, i.e. the pairs ``(i, j)`` with ``i < j`` ordered by ``j``, then
+by ``i``.  That is exactly the bit order of the graph6 format, so mask
+<-> graph6 conversion is pure bit shuffling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .errors import Graph6Error
@@ -35,13 +35,6 @@ def bits(x: int) -> Iterator[int]:
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
-
-
-@lru_cache(maxsize=None)
-def pair_order(n: int) -> tuple[tuple[int, int], ...]:
-    """Upper-triangle vertex pairs of an n-vertex graph in column-major
-    (graph6) order."""
-    return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
 # value -> 6-bit reversal; graph6 packs stream bits MSB-first per byte,
@@ -79,9 +72,6 @@ class Graph:
             for v in bits(self.adj[u] >> (u + 1)):
                 yield (u, u + 1 + v)
 
-    def vertex_mask(self) -> int:
-        return (1 << self.n) - 1
-
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; rejects loops and bad indices."""
@@ -99,7 +89,8 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:
-    """Graph whose edge set is given by ``mask`` in pair_order(n) bits."""
+    """Graph whose edge set is given by ``mask``: bit t is the t-th pair
+    (i, j), i < j, in column-major order (by j, then by i), as in graph6."""
     adj = [0] * n
     t = 0
     for j in range(1, n):
@@ -322,17 +313,7 @@ def is_complete(g: Graph) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= g.adj[u]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return len(components(g)) <= 1
 
 
 def components(g: Graph) -> list[int]:
@@ -390,28 +371,12 @@ def diameter(g: Graph) -> int | float:
 ENUMERATION_MAX_N = 8
 
 
-def enumerate_all_graphs(
-    n: int,
-    visitor: Callable[[Graph], None],
-    nonincreasing_degrees_only: bool = False,
-) -> int:
+def enumerate_all_graphs(n: int, visitor: Callable[[Graph], None]) -> int:
     """Visit every labeled graph on n vertices exactly once, in ascending
-    edge-mask order, and return the number visited (2^(n(n-1)/2)).
-
-    ``nonincreasing_degrees_only`` prunes to graphs whose degree sequence
-    deg(0) >= deg(1) >= ... ; every isomorphism class keeps at least one
-    representative, so isomorphism-invariant sweeps lose nothing.  The
-    returned count is then the number actually visited.
-    """
+    edge-mask order, and return the number visited (2^(n(n-1)/2))."""
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
-    count = 0
-    for mask in range(1 << (n * (n - 1) // 2)):
-        g = from_edge_mask(n, mask)
-        if nonincreasing_degrees_only:
-            degs = [row.bit_count() for row in g.adj]
-            if any(degs[i] < degs[i + 1] for i in range(n - 1)):
-                continue
-        visitor(g)
-        count += 1
-    return count
+    total = 1 << (n * (n - 1) // 2)
+    for mask in range(total):
+        visitor(from_edge_mask(n, mask))
+    return total

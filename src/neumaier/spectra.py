@@ -4,9 +4,10 @@ The exact side is an integer characteristic polynomial (power sums and
 Newton's identities in arbitrary precision) whose Yun squarefree
 decomposition fixes the number of distinct eigenvalues and their
 multiplicities.  The numeric side is a self-contained Householder +
-implicit-QL eigensolver.  ``spectrum`` welds the two: numeric
-eigenvalues are clustered and the cluster count must reproduce the exact
-distinct count, refining the tolerance by bisection when it does not.
+implicit-QL eigensolver.  ``spectrum`` welds the two: with d the exact
+distinct count, the sorted numeric eigenvalues are split into d clusters
+at their d - 1 widest gaps, and the cluster sizes must reproduce the
+exact multiplicities.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import intpoly
-from ._kernels import charpoly_adj, cluster_count, jacobi_eigenvalues
+from ._kernels import charpoly_adj, jacobi_eigenvalues
 from .errors import ConsistencyError, DegenerateSpectrumError, SpectralResolutionError
 from .graphs import Graph, bits, components, is_complete_component, is_connected
 
-#: default gap tolerance for grouping numeric eigenvalues; integer
-#: adjacency matrices at desk scale have far larger true gaps
+#: gap at which the labeled sweep's kernel starts a new cluster when it
+#: counts each graph's numeric eigenvalues; integer adjacency matrices at
+#: desk scale have far larger true gaps
 DEFAULT_CLUSTER_TOL = 1e-7
-#: refinement gives up below this gap: numeric noise territory
+#: the clusters must be separable by one gap threshold in this range:
+#: narrower cut gaps are numeric noise, wider inside gaps are real ones
 TOL_FLOOR = 1e-13
 TOL_CEIL = 1.0
 
@@ -105,63 +108,52 @@ def _adjacency_flat(g: Graph) -> list[float]:
     return flat
 
 
-def _group(values_asc: list[float], tol: float) -> list[tuple[float, int]]:
-    """Cluster ascending values by consecutive gaps >= tol; returns
-    descending (mean, size) pairs."""
-    groups: list[tuple[float, int]] = []
-    i = 0
-    while i < len(values_asc):
-        j = i + 1
-        while j < len(values_asc) and values_asc[j] - values_asc[j - 1] < tol:
-            j += 1
-        chunk = values_asc[i:j]
-        groups.append((sum(chunk) / len(chunk), len(chunk)))
-        i = j
+def _group(values_asc: list[float], d: int) -> list[tuple[float, int]]:
+    """Split ascending values into d clusters at their d - 1 widest
+    consecutive gaps; returns descending (mean, size) pairs.
+
+    Raises SpectralResolutionError unless one threshold in [TOL_FLOOR,
+    TOL_CEIL] separates exactly those gaps: the narrowest cut gap must be
+    at least TOL_FLOOR, and every gap inside a cluster narrower than both
+    it and TOL_CEIL.
+    """
+    n = len(values_asc)
+    if n == 0:
+        return []
+    width = [values_asc[j] - values_asc[j - 1] for j in range(1, n)]
+    order = sorted(range(n - 1), key=width.__getitem__, reverse=True)
+    narrowest_cut = width[order[d - 2]] if d >= 2 else float("inf")
+    widest_inside = width[order[d - 1]] if d < n else 0.0
+    if narrowest_cut < TOL_FLOOR or widest_inside >= min(narrowest_cut, TOL_CEIL):
+        raise SpectralResolutionError(
+            f"no tolerance in [{TOL_FLOOR}, {TOL_CEIL}] yields {d} clusters"
+        )
+    bounds = [0, *sorted(j + 1 for j in order[: d - 1]), n]
+    groups = [
+        (sum(chunk) / len(chunk), len(chunk))
+        for chunk in (values_asc[a:b] for a, b in zip(bounds, bounds[1:]))
+    ]
     groups.reverse()
     return groups
 
 
-def spectrum(g: Graph, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
+def spectrum(g: Graph) -> Spectrum:
     """Numeric eigenvalues with multiplicities, validated against the
-    exact distinct-eigenvalue count.
+    exact squarefree decomposition.
 
-    If clustering at ``tol`` does not reproduce the exact count the
-    tolerance is refined by bisection between TOL_FLOOR and TOL_CEIL;
-    irreconcilable spectra raise SpectralResolutionError.
+    The exact multiplicities fix the distinct count d; the numeric
+    eigenvalues are split at their d - 1 widest gaps (see ``_group``),
+    and the cluster sizes must equal the exact multiplicities.  Spectra
+    that no gap threshold resolves raise SpectralResolutionError.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     p = charpoly(g)
     multiplicities = _multiplicity_multiset(p)
-    exact = len(multiplicities)
-    values = jacobi_eigenvalues(_adjacency_flat(g), g.n)
-    if cluster_count(values, tol) != exact:
-        lo, hi = TOL_FLOOR, TOL_CEIL
-        # cluster count is nonincreasing in tol; geometric bisection
-        if not cluster_count(values, lo) >= exact >= cluster_count(values, hi):
-            raise SpectralResolutionError(
-                f"no tolerance in [{lo}, {hi}] yields {exact} clusters"
-            )
-        for _ in range(200):
-            mid = (lo * hi) ** 0.5
-            c = cluster_count(values, mid)
-            if c == exact:
-                tol = mid
-                break
-            if c > exact:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            raise SpectralResolutionError(
-                f"tolerance bisection failed to reach {exact} clusters"
-            )
-    groups = _group(values, tol)
+    groups = _group(jacobi_eigenvalues(_adjacency_flat(g), g.n), len(multiplicities))
     if sorted(m for _, m in groups) != multiplicities:
         raise SpectralResolutionError(
             "numeric multiplicities disagree with exact squarefree factors"
         )
-    return Spectrum(tuple(groups), exact, p)
+    return Spectrum(tuple(groups), len(multiplicities), p)
 
 
 def named_eigenvalues(s: Spectrum) -> tuple[float, float, float]:
@@ -195,9 +187,7 @@ class SpectralClass:
     clique_order: int | None = None
 
 
-def classify_by_eigenvalue_count(
-    g: Graph, tol: float = DEFAULT_CLUSTER_TOL
-) -> SpectralClass:
+def classify_by_eigenvalue_count(g: Graph) -> SpectralClass:
     """One distinct eigenvalue -> edgeless; two -> disjoint union of equal
     complete graphs (order verified structurally); three + connected +
     regular -> strong-regularity candidate; anything else -> Other."""

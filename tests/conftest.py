@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from neumaier.classify import LabeledSweepResult, default_sweep_workers, sweep_labeled
@@ -19,7 +17,3 @@ def sweep_results() -> dict[int, LabeledSweepResult]:
 def sweep7() -> LabeledSweepResult:
     """The full n=7 sweep (2^21 graphs); computed once per session."""
     return sweep_labeled(7, workers=_workers())
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "acceptance: acceptance-gate criteria")

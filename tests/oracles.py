@@ -19,6 +19,12 @@ eigenvalues and cluster count of each graph from the package's
 single-graph kernels, which are checked against Faddeev-LeVerrier and
 LAPACK on their own.
 
+A fourth keeps the earlier clustering of ``spectra.spectrum``: start
+at gap tolerance 1e-7 and, when that misses the exact distinct count,
+bisect the tolerance geometrically in [1e-13, 1.0].  Splitting at the
+d - 1 widest gaps must give the same clusters, and fail on the same
+inputs.
+
 The eight strictly Neumaier Cayley graphs of Z2 x Z8 are found here by
 search over connection sets, so the spectra and classify tests share
 one positive control.
@@ -35,7 +41,7 @@ import numpy as np
 
 from neumaier._kernels import charpoly_adj, cluster_count, jacobi_eigenvalues
 from neumaier.cliques import ExtensionReport, cliques_of_order
-from neumaier.errors import ConsistencyError
+from neumaier.errors import ConsistencyError, SpectralResolutionError
 from neumaier.graphs import Graph, bits, from_edge_mask, from_edges
 
 
@@ -114,6 +120,40 @@ def reference_sweep_masks(
         entry[1] = min(entry[1], clusters)
         entry[2] = max(entry[2], clusters)
     return total, total - len(regular), {k: tuple(v) for k, v in stats.items()}, regular
+
+
+def bisection_clusters(values_asc: list[float], d: int) -> list[tuple[float, int]]:
+    """Descending (mean, size) clusters of ascending values, cut at every
+    gap of at least a tolerance that yields exactly d clusters: 1e-7 if it
+    does, else one found by geometric bisection in [1e-13, 1.0].  Raises
+    SpectralResolutionError when the bisection finds none."""
+    tol = 1e-7
+    if cluster_count(values_asc, tol) != d:
+        lo, hi = 1e-13, 1.0
+        if not cluster_count(values_asc, lo) >= d >= cluster_count(values_asc, hi):
+            raise SpectralResolutionError(f"no tolerance in [{lo}, {hi}] yields {d} clusters")
+        for _ in range(200):
+            mid = (lo * hi) ** 0.5
+            c = cluster_count(values_asc, mid)
+            if c == d:
+                tol = mid
+                break
+            if c > d:
+                lo = mid
+            else:
+                hi = mid
+        else:
+            raise SpectralResolutionError(f"tolerance bisection failed to reach {d} clusters")
+    groups = []
+    i = 0
+    while i < len(values_asc):
+        j = i + 1
+        while j < len(values_asc) and values_asc[j] - values_asc[j - 1] < tol:
+            j += 1
+        chunk = values_asc[i:j]
+        groups.append((sum(chunk) / len(chunk), len(chunk)))
+        i = j
+    return groups[::-1]
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -282,7 +322,7 @@ def pairing_extension_hypothesis(g: Graph, e: int, s: int) -> ExtensionReport:
     for h in cliques_of_order(g, e + 1):
         containing = sum(1 for c in big if c & h == h)
         if containing == 0:
-            return ExtensionReport(False, h, False, False)
+            return ExtensionReport(False, h)
         if containing != 1:
             unique = False
     all_s1 = all(c.bit_count() == s + 1 for c in reference_maximal_cliques(g))
@@ -294,7 +334,7 @@ def pairing_extension_hypothesis(g: Graph, e: int, s: int) -> ExtensionReport:
         raise ConsistencyError(
             "extension hypothesis holds but a maximal clique misses order s+1"
         )
-    return ExtensionReport(True, None, unique, all_s1)
+    return ExtensionReport(True, None)
 
 
 def brute_cliques_of_order(g: Graph, t: int) -> set[frozenset[int]]:

@@ -76,9 +76,12 @@ def test_analyze_env_var_format(monkeypatch):
     assert res.output.startswith("graph6,taxonomy")
 
 
-def test_analyze_rejects_bad_tolerance():
-    res = invoke(["analyze", "--tol", "-1"], input="Bw\n")
-    assert res.exit_code == 2
+def test_tol_is_not_an_option():
+    # clusters come from the exact multiplicities; there is no tolerance
+    for args in (["analyze", "--tol", "1e-7"], ["sweep", "--n", "4", "--tol", "1e-7"]):
+        res = invoke(args, input="Bw\n")
+        assert res.exit_code == 2
+        assert "No such option" in res.output and "--tol" in res.output
 
 
 def test_generate_round_trips():
@@ -156,7 +159,7 @@ def test_sweep_csv_matrix(tmp_path):
 def test_sweep_argument_validation():
     assert invoke(["sweep"]).exit_code == 2
     assert invoke(["sweep", "--n", "9"]).exit_code == 2
-    assert invoke(["sweep", "--n", "4", "--tol", "0"]).exit_code == 2
+    assert invoke(["sweep", "--n", "4", "--workers", "0"]).exit_code == 2
     assert invoke(["sweep", "--n", "4", "--theorems", "bogus"]).exit_code != 0
 
 

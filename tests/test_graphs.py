@@ -248,26 +248,6 @@ def test_enumeration_bounds():
         enumerate_all_graphs(9, lambda g: None)
 
 
-def test_enumeration_degree_pruning():
-    full = []
-    enumerate_all_graphs(4, full.append)
-    pruned = []
-    count = enumerate_all_graphs(4, pruned.append, nonincreasing_degrees_only=True)
-    assert count == len(pruned) < len(full)
-    for g in pruned:
-        degs = [g.degree(u) for u in range(4)]
-        assert degs == sorted(degs, reverse=True)
-    # every isomorphism class keeps a representative: compare canonical
-    # forms by brute force on this small size
-    def canon(g):
-        return min(
-            tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges()))
-            for p in __import__("itertools").permutations(range(g.n))
-        )
-
-    assert {canon(g) for g in full} == {canon(g) for g in pruned}
-
-
 # ---------------------------------------------------------------------------
 # isomorphism helper cross-check
 

@@ -1,10 +1,12 @@
 import math
 import random
+import re
 
 import pytest
 
 import oracles
-from neumaier.errors import DegenerateSpectrumError
+from neumaier import spectra
+from neumaier.errors import DegenerateSpectrumError, SpectralResolutionError
 from neumaier.graphs import (
     complement,
     complete,
@@ -122,13 +124,94 @@ def test_named_eigenvalues_degenerate():
         named_eigenvalues(spectrum(from_edges(4, [])))
 
 
-def test_cluster_tolerance_refinement():
-    # absurdly coarse tolerance merges everything; bisection must recover
-    sp = spectrum(cycle(5), tol=0.9)
-    assert sp.distinct_count == 3
-    assert len(sp.eigs) == 3
-    with pytest.raises(ValueError):
-        spectrum(cycle(5), tol=-1.0)
+# The numeric eigenvalues are split at their d - 1 widest gaps, d the
+# exact distinct count; the split must be one that some gap threshold in
+# [1e-13, 1.0] makes.  rook(3) has the exact spectrum {4^1, 1^4, -2^4}.
+ROOK3 = [-2.0] * 4 + [1.0] * 4 + [4.0]
+NOISE = (-1e-5, 1e-5, -5e-6, 5e-6)
+
+
+def spectrum_from(monkeypatch, values):
+    """rook(3)'s spectrum with the eigensolver replaced by ``values``."""
+    monkeypatch.setattr(spectra, "jacobi_eigenvalues", lambda flat, n: sorted(values))
+    return spectrum(rook(3))
+
+
+def test_noisy_clusters_resolve(monkeypatch):
+    noisy = [v + NOISE[i % 4] for i, v in enumerate(ROOK3[:8])] + [4.0 + 1e-5]
+    sp = spectrum_from(monkeypatch, noisy)
+    assert [m for _, m in sp.eigs] == [1, 4, 4]
+    assert_close([v for v, _ in sp.eigs], [4, 1, -2], tol=2e-5)
+
+
+@pytest.mark.parametrize("values, eigs", [
+    # a cut gap just above the 1e-13 floor
+    (ROOK3[:8] + [1.0 + 5e-13], [(1.0 + 5e-13, 1), (1.0, 4), (-2.0, 4)]),
+    # an inside gap just below the 1.0 ceiling
+    (ROOK3[:7] + [1.9, 10.0], [(10.0, 1), (1.225, 4), (-2.0, 4)]),
+])
+def test_threshold_range_edges_resolve(monkeypatch, values, eigs):
+    sp = spectrum_from(monkeypatch, values)
+    assert [m for _, m in sp.eigs] == [m for _, m in eigs]
+    assert_close([v for v, _ in sp.eigs], [v for v, _ in eigs], tol=1e-15)
+
+
+@pytest.mark.parametrize("values", [
+    # the narrowest cut gap, 5e-14, is below the 1e-13 floor
+    ROOK3[:8] + [1.0 + 5e-14],
+    # a gap inside a cluster reaches the 1.0 ceiling
+    ROOK3[:7] + [2.0, 10.0],
+])
+def test_unresolvable_gaps_raise(monkeypatch, values):
+    with pytest.raises(
+        SpectralResolutionError,
+        match=re.escape("no tolerance in [1e-13, 1.0] yields 3 clusters"),
+    ):
+        spectrum_from(monkeypatch, values)
+
+
+def test_tied_cut_and_inside_gap_raises(monkeypatch):
+    # three gaps of 0.75 tie for two cuts; the first two would give the
+    # right sizes 1, 4, 4, but no threshold separates exactly two gaps
+    with pytest.raises(SpectralResolutionError):
+        spectrum_from(monkeypatch, [0.0] + [0.75] * 4 + [1.5] * 3 + [2.25])
+
+
+def clustered_values(rng):
+    """Ascending values in a few clusters, with gaps between and inside
+    them drawn across the scales the threshold range cares about."""
+    scales = (0.0, 1e-15, 5e-14, 1e-13, 3e-13, 1e-9, 1e-7, 1e-4, 0.3, 0.9, 1.0, 1.5, 3.0)
+    values, x = [], rng.uniform(-5, 5)
+    for _ in range(rng.randint(1, 5)):
+        x += rng.choice(scales[4:])
+        for _ in range(rng.randint(1, 4)):
+            x += rng.choice(scales)
+            values.append(x)
+    return values
+
+
+def test_widest_gap_split_matches_tolerance_bisection():
+    rng = random.Random(20261019)
+    resolved = unresolved = 0
+    for _ in range(4000):
+        values = clustered_values(rng)
+        for d in range(1, len(values) + 1):
+            try:
+                want = oracles.bisection_clusters(values, d)
+            except SpectralResolutionError:
+                with pytest.raises(SpectralResolutionError):
+                    spectra._group(values, d)
+                unresolved += 1
+                continue
+            assert spectra._group(values, d) == want, (values, d)
+            resolved += 1
+    assert resolved > 1000 and unresolved > 1000
+
+
+def test_cluster_sizes_must_match_exact_multiplicities(monkeypatch):
+    # three clean clusters, but of sizes 3, 5, 1 instead of 4, 4, 1
+    with pytest.raises(SpectralResolutionError, match="multiplicities disagree"):
+        spectrum_from(monkeypatch, [-2.0] * 3 + [1.0] * 5 + [4.0])
 
 
 def test_classify_by_eigenvalue_count():
