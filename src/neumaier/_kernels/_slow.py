@@ -1,8 +1,9 @@
 """The hot loops of the spectral layer, in pure Python.
 
-``charpoly_adj`` (power sums over packed-lane rows whose byte-aligned
-lanes widen with the power), ``jacobi_eigenvalues`` (Householder +
-implicit QL) and ``cluster_count`` serve single graphs.
+``packed_powers`` (the rows of A^1..A^n in byte-aligned lanes that
+widen with the power, read by ``charpoly_adj`` for its power sums and by
+the walk-regularity check), ``charpoly_adj``, ``jacobi_eigenvalues``
+(Householder + implicit QL) and ``cluster_count`` serve single graphs.
 ``sweep_masks`` scans the exhaustive labeled sweep over ranges of base
 graphs on n - 1 vertices.  It borders each base with every neighbourhood
 of vertex n - 1 in Gray-code order and gets each graph's exact charpoly
@@ -26,6 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, copysign, hypot, isqrt, sqrt
 from operator import add, mul, sub
+from typing import Iterator
 
 from ..errors import SpectralResolutionError
 
@@ -41,16 +43,35 @@ def charpoly_adj(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Exact characteristic polynomial of the 0/1 adjacency matrix given
     as per-vertex neighbour bitsets.
 
-    Power sums p_k = tr(A^k) for k = 1..n, then Newton's identities
+    Power sums p_k = tr(A^k) for k = 1..n, read off the diagonal lanes of
+    ``packed_powers``, then Newton's identities
     k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1)  (division exact).
+    Returns (1, c_1, ..., c_n): coefficient of x^(n-i) at index i.
+    """
+    c = [1]
+    sums: list[int] = []
+    for k, (rows, b) in enumerate(packed_powers(adj, n), 1):
+        lane = (1 << (8 * b)) - 1
+        p = sum([(r >> s) & lane for r, s in zip(rows, range(0, 8 * b * n, 8 * b))])
+        q, r = divmod(-p - sum(map(mul, c[1:], reversed(sums))), k)
+        if r:
+            raise ArithmeticError("Newton identity division not exact")
+        c.append(q)
+        sums.append(p)
+    return tuple(c)
 
-    Row i of A^k is packed into one int, entry j in lane j of b whole
-    bytes, so row i of A^k is the plain sum of the packed rows of A^(k-1)
-    over N(i).  A dense row (deg(i) > n/2) can instead be T minus the rows
-    outside N(i), i included, with T the sum of all n rows: packing is
-    linear over the integers and every lane of the result is an entry of
-    A^k >= 0, so the subtraction is exact.  T costs n additions a power,
-    so the dense rows take this form only when together they save more.
+
+def packed_powers(adj: tuple[int, ...], n: int) -> Iterator[tuple[list[int], int]]:
+    """Yield (rows, b) for A^1, ..., A^n of the 0/1 adjacency matrix given
+    as per-vertex neighbour bitsets: rows[i] packs row i of A^k into one
+    int, entry j in lane j of b whole bytes.
+
+    Row i of A^k is the plain sum of the packed rows of A^(k-1) over N(i).
+    A dense row (deg(i) > n/2) can instead be T minus the rows outside
+    N(i), i included, with T the sum of all n rows: packing is linear over
+    the integers and every lane of the result is an entry of A^k >= 0, so
+    the subtraction is exact.  T costs n additions a power, so the dense
+    rows take this form only when together they save more.
 
     Lanes never carry into each other.  An entry of A^k counts k-walks
     between two vertices, at most D^(k-1) for maximum degree D; a lane of
@@ -60,7 +81,10 @@ def charpoly_adj(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
     which depends only on n and D) and the rows are repacked into the
     wider lanes at each stage boundary; at n = 62 and D = 28 they grow
     from 4 to 37 bytes over ten stages.
-    Returns (1, c_1, ..., c_n): coefficient of x^(n-i) at index i.
+
+    The generator keeps no row of A^(k-1) once it has yielded A^k.  The
+    yielded list is repacked in place at the next stage boundary, so read
+    it before asking for the next power.
     """
     plan = []  # the rows of A^(k-1) summed for row i of A^k
     for a in adj:
@@ -80,32 +104,21 @@ def charpoly_adj(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
     stages = _lane_stages(top, n)
     b = stages[0][0]
     rows = [1 << (8 * b * i) for i in range(n)]
-    c = [1]
-    sums: list[int] = []
-    k = 0
     for width, powers in stages:
         if width > b:
             _widen(rows, n, b, width)
             b = width
-        lane = (1 << (8 * b)) - 1
-        shifts = [8 * b * i for i in range(n)]
-        for k in range(k + 1, k + 1 + powers):
+        for _ in range(powers):
             get = rows.__getitem__
             total = sum(rows) if dense else 0
             rows = [sum(map(get, js)) for js in plan]
             del get  # frees the rows of A^(k-1)
             for i in dense:
                 rows[i] = total - rows[i]
-            p = sum([(r >> s) & lane for r, s in zip(rows, shifts)])
-            q, r = divmod(-p - sum(map(mul, c[1:], reversed(sums))), k)
-            if r:
-                raise ArithmeticError("Newton identity division not exact")
-            c.append(q)
-            sums.append(p)
-    return tuple(c)
+            yield rows, b
 
 
-#: the charpoly lanes widen in steps of this many bytes: a repack costs
+#: the packed lanes widen in steps of this many bytes: a repack costs
 #: about half a power at n = 62, and 4 bytes balances the two
 _STAGE_BYTES = 4
 
@@ -113,7 +126,7 @@ _STAGE_BYTES = 4
 @lru_cache(maxsize=4096)  # every (D, n) with D < n <= 62 is 1953 entries
 def _lane_stages(top: int, n: int) -> tuple[tuple[int, int], ...]:
     """(lane bytes, number of powers) for the successive stages of
-    ``charpoly_adj`` with maximum degree ``top``: power k needs
+    ``packed_powers`` with maximum degree ``top``: power k needs
     bytes(top^(k-1)) bytes, rounded up to a multiple of _STAGE_BYTES and
     capped at the bytes of power n, which the last stage uses."""
     last = _lane_bytes(top ** max(n - 1, 0))

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from time import perf_counter
 from typing import Iterable, Sequence
 
 from . import _kernels
-from ._iso import ISO_MAX_N, are_isomorphic
 from .cliques import (
     CliqueReport,
     ExtensionReport,
@@ -33,14 +33,11 @@ from .errors import ConsistencyError
 from .graphs import (
     Graph,
     bits,
-    complete_multipartite,
     encode_graph6,
     from_edge_mask,
     is_complete,
     is_connected,
-    johnson2,
     line_graph,
-    rook,
 )
 from .graphs import diameter as graph_diameter
 from .regularity import (
@@ -382,28 +379,24 @@ def is_one_walk_regular(g: Graph, ctx: Analysis | None = None) -> bool:
     adjacent pairs, checked in exact integer arithmetic.
 
     Powers beyond distinct_count-1 are linear combinations of the lower
-    ones, so this finite check decides all lengths.  Raises ValueError on
-    disconnected or irregular input.
+    ones, so this finite check decides all lengths.  Lengths 0 and 1 hold
+    for every graph (I and A), so only the packed rows of A^2..A^(d-1)
+    from the charpoly kernel are read: two entries are equal iff their
+    lane bytes are.  Raises ValueError on disconnected or irregular input.
     """
     ctx = ctx or Analysis(g)
     if not ctx.is_connected or not ctx.is_regular:
         raise ValueError("1-walk-regularity needs a connected regular graph")
     n = g.n
     d = ctx.spectrum.distinct_count
-    edges = list(g.edges())
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for length in range(d):
-        if len({power[i][i] for i in range(n)}) > 1:
+    for rows, b in islice(_kernels.packed_powers(g.adj, n), 1, max(d - 1, 1)):
+        diagonal, on_edges = set(), set()
+        for i, r in enumerate(rows):
+            row = r.to_bytes(n * b, "little")
+            diagonal.add(row[i * b : i * b + b])
+            on_edges.update(row[j * b : j * b + b] for j in bits(g.adj[i]))
+        if len(diagonal) > 1 or len(on_edges) > 1:
             return False
-        if edges and len({power[u][v] for u, v in edges}) > 1:
-            return False
-        if length == d - 1:
-            break
-        nxt = []
-        for i in range(n):
-            rows = [power[j] for j in bits(g.adj[i])]
-            nxt.append([sum(col) for col in zip(*rows)] if rows else [0] * n)
-        power = nxt
     return True
 
 
@@ -665,53 +658,61 @@ def refute_four_eigenvalues(
 class LineGraphReport:
     """Which Neumaier family (if any) the line graph of the root belongs
     to.  ``matches`` lists every family fit -- the octahedron is also
-    J(4,2), so overlaps are real -- and ``primary`` is the first of
-    RookCase/JohnsonCase/Octahedron/NotNeumaier that applies."""
+    J(4,2), so overlaps are real -- and ``primary`` is RookCase,
+    JohnsonCase (the octahedron included) or NotNeumaier."""
 
     primary: str
     matches: tuple[tuple, ...]
     s: int | None
-    isomorphism_checked: bool
     line_report: ClassReport
 
 
 def classify_line_graph_neumaier(root: Graph) -> LineGraphReport:
     """Build L(root), classify it, and when it is a Neumaier graph match
-    it against the rook / Johnson J(s+2,2) / octahedron families
-    (parameter fit plus brute-force isomorphism for v <= 40)."""
+    it against the rook / Johnson J(s+2,2) / octahedron families.
+
+    The match is read off the root's edge-carrying vertices: rook(s+1),
+    J(s+2,2) and the octahedron are the line graphs of K_{s+1,s+1},
+    K_{s+2} and K_4, and by Whitney's theorem (1932) a connected graph
+    other than K_3 and K_{1,3} is the only root of its line graph; those
+    two share the line graph K_3, which is complete and never Neumaier.
+    The family's closed-form (v, k, s) must agree with the classifier's.
+    """
     lg = line_graph(root)  # raises ValueError on edgeless roots
     rep = classify(lg)
     if rep.taxonomy not in (Taxonomy.NEUMAIER_SRG, Taxonomy.STRICTLY_NEUMAIER):
-        return LineGraphReport("NotNeumaier", (), None, False, rep)
+        return LineGraphReport("NotNeumaier", (), None, rep)
     if rep.taxonomy != Taxonomy.NEUMAIER_SRG:
         raise ConsistencyError(
             "a Neumaier line graph must be strongly regular; got StrictlyNeumaier"
         )
     assert rep.erg is not None and rep.s is not None
     v, k, s = rep.erg.v, rep.erg.k, rep.s
-    iso_ok = lg.n <= ISO_MAX_N
+    used = [u for u in range(root.n) if root.adj[u]]
+    core = sum(1 << u for u in used)
+    m = len(used)
+    side = root.adj[used[0]]
     matches: list[tuple] = []
-    if v == (s + 1) ** 2 and k == 2 * s:
-        if not iso_ok or are_isomorphic(lg, rook(s + 1)):
-            matches.append(("rook", s))
-    if s >= 2 and 2 * v == (s + 2) * (s + 1) and k == 2 * s:
-        if not iso_ok or are_isomorphic(lg, johnson2(s + 2)):
-            matches.append(("johnson", s))
-    if v == 6 and k == 4:
-        if not iso_ok or are_isomorphic(lg, complete_multipartite(3, 2)):
+    if 2 * side.bit_count() == m and all(
+        root.adj[u] == (core ^ side if side >> u & 1 else side) for u in used
+    ):
+        matches.append(("rook", m // 2 - 1))
+    if all(root.adj[u] == core ^ 1 << u for u in used):
+        matches.append(("johnson", m - 2))
+        if m == 4:
             matches.append(("octahedron",))
-    if not matches:
+    fits = {
+        ("rook", s): v == (s + 1) ** 2 and k == 2 * s,
+        ("johnson", s): 2 * v == (s + 2) * (s + 1) and k == 2 * s,
+        ("octahedron",): v == 6 and k == 4,
+    }
+    if not matches or not all(fits.get(match) for match in matches):
         raise ConsistencyError(
-            "Neumaier line graph matched none of rook/Johnson/octahedron"
+            f"root families {matches} do not fit the Neumaier line graph's "
+            f"(v, k, s) = {(v, k, s)}"
         )
-    kinds = [m[0] for m in matches]
-    if "rook" in kinds:
-        primary = "RookCase"
-    elif "johnson" in kinds:
-        primary = "JohnsonCase"
-    else:
-        primary = "Octahedron"
-    return LineGraphReport(primary, tuple(matches), s, iso_ok, rep)
+    primary = "RookCase" if matches[0][0] == "rook" else "JohnsonCase"
+    return LineGraphReport(primary, tuple(matches), s, rep)
 
 
 # ---------------------------------------------------------------------------

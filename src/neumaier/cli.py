@@ -224,8 +224,7 @@ def sweep(n, input, output, format, theorems, workers) -> None:
     out = _open_out(output)
     try:
         if format == "json":
-            doc = rpt.aggregate_json(agg)
-            doc["ok"] = passed
+            doc = rpt.aggregate_json(agg, passed)
             if exhaustive:
                 doc["elapsed_s"] = round(result.elapsed, 6)
                 doc["graphs_per_s"] = round(result.graphs_per_s, 1)
@@ -233,7 +232,7 @@ def sweep(n, input, output, format, theorems, workers) -> None:
         elif format == "csv":
             out.write(rpt.aggregate_csv(agg) + "\n")
         else:
-            out.write(rpt.aggregate_human(agg) + "\n")
+            out.write(rpt.aggregate_human(agg, passed) + "\n")
             if exhaustive:
                 out.write(f"sweep time: {result.elapsed:.3f} s, "
                           f"{result.graphs_per_s:.0f} graphs/s\n")

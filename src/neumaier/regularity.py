@@ -40,14 +40,12 @@ class ErgParams:
 @dataclass(frozen=True)
 class SrgParams:
     """Strongly regular parameters (v, k, lam, mu).  Disconnected unions
-    of equal complete graphs count as (imprimitive) SRGs with mu = 0;
-    ``is_primitive`` reports the conventional connected 0 < mu < k case."""
+    of equal complete graphs count as (imprimitive) SRGs with mu = 0."""
 
     v: int
     k: int
     lam: int
     mu: int
-    is_primitive: bool = False
 
     def __post_init__(self):
         if self.v - self.k - 1 > 0:
@@ -141,10 +139,7 @@ def srg_params(g: Graph) -> SrgParams | None:
                 return None
     if mu is None:
         raise ConsistencyError("non-complete graph with no non-adjacent pair")
-    from .graphs import is_connected
-
-    primitive = is_connected(g) and 0 < mu < erg.k
-    return SrgParams(erg.v, erg.k, erg.lam, mu, primitive)
+    return SrgParams(erg.v, erg.k, erg.lam, mu)
 
 
 def is_complete_multipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
@@ -162,22 +157,26 @@ def is_complete_multipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     return False, None
 
 
+def _clique_quadratic(v, k, lam):
+    """Coefficients (a, b, c) of the clique-bound quadratic
+    (v+lam-2k) s^2 + (k^2-k+lam-v*lam) s - k(v-k-1) = 0, exact on ints
+    and on Fractions."""
+    return v + lam - 2 * k, k * k - k + lam - v * lam, -k * (v - k - 1)
+
+
 def clique_bound_s(p: ErgParams) -> float:
-    """The positive root s of
-    (v+lam-2k) s^2 + (k^2-k+lam-v*lam) s - k(v-k-1) = 0,
-    bounding every clique order by s+1.
+    """The positive root s of the clique-bound quadratic
+    (``_clique_quadratic``), bounding every clique order by s+1.
 
     Requires v+lam-2k > 0 (complete multipartite graphs use their part
     count instead; see is_complete_multipartite).
     """
-    a = p.v + p.lam - 2 * p.k
+    a, b, c = _clique_quadratic(p.v, p.k, p.lam)
     if a <= 0:
         raise ValueError(
             "clique bound undefined: v + lam - 2k = 0 (complete multipartite); "
             "use the part count"
         )
-    b = p.k * p.k - p.k + p.lam - p.v * p.lam
-    c = -p.k * (p.v - p.k - 1)
     s = _positive_quadratic_root(float(a), float(b), float(c))
     _check_quadratic_residual(a, b, c, s)
     return s
@@ -186,11 +185,9 @@ def clique_bound_s(p: ErgParams) -> float:
 def exact_clique_s(p: ErgParams) -> int | None:
     """Integer s verified exactly against the clique-bound quadratic, or
     None when s is irrational/non-integer."""
-    a = p.v + p.lam - 2 * p.k
+    a, b, c = _clique_quadratic(p.v, p.k, p.lam)
     if a <= 0:
         return None
-    b = p.k * p.k - p.k + p.lam - p.v * p.lam
-    c = -p.k * (p.v - p.k - 1)
     r = round(_positive_quadratic_root(float(a), float(b), float(c)))
     if a * r * r + b * r + c == 0:
         return r
@@ -247,12 +244,10 @@ def avg_params(g: Graph) -> AvgParams:
     lambdabar = Fraction(3 * triangle_count(g), edges)  # 6N / (v kbar)
     if not v > kbar + 1:
         raise ConsistencyError("v <= kbar + 1 for a non-complete graph")
-    a = v + lambdabar - 2 * kbar
+    a, b, c = _clique_quadratic(v, kbar, lambdabar)
     if not a > 0:
         raise ConsistencyError("v + lambdabar - 2 kbar <= 0 off the multipartite case")
     mubar = kbar * (kbar - lambdabar - 1) / (v - kbar - 1)
-    b = kbar * kbar - kbar + lambdabar - lambdabar * v
-    c = -kbar * (v - kbar - 1)
     sbar = _positive_quadratic_root(float(a), float(b), float(c))
     _check_quadratic_residual(float(a), float(b), float(c), sbar)
     ebar = (sbar + 1.0) * (float(kbar) - sbar) / (v - sbar - 1.0)

