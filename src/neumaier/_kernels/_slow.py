@@ -12,7 +12,12 @@ det(xI - A') = x φ_G(x) - s^T adj(xI - A) s.  That costs about n additions
 of packed ints per graph once φ_G and the adjugate are known for the base.
 The keys are Kronecker-packed in lanes sized from a rigorous coefficient
 bound (``_coeff_bound``, n <= 8) and decoded with a guard-bit check.  The
-numeric eigenvalues still run on every graph's own matrix.
+numeric eigenvalues reuse the base too: with A_G = V Λ V^T decomposed
+once, each bordered matrix A' is orthogonally similar to the arrowhead
+[[Λ, z], [z^T, 0]] with z = V^T s, which Givens rotations take to a
+tridiagonal for implicit QL.  Built from each graph's own border, that
+similarity yields the eigenvalues of A' + E with ||E|| = O(n ε ||A'||),
+the guarantee Householder on A' itself gave (see ``sweep_masks``).
 
 The package re-exports these functions from ``neumaier._kernels``.  The
 module path and the function names stay as they are because the
@@ -33,8 +38,9 @@ from ..errors import SpectralResolutionError
 
 KERNEL_KIND = "python"
 
-#: cap on implicit-QL iterations per eigenvalue; adjacency matrices of
-#: every 6-vertex graph and of random graphs up to 62 vertices need <= 6
+#: cap on implicit-QL iterations per eigenvalue; the Householder
+#: tridiagonals of every 6-vertex graph and of random graphs up to 62
+#: vertices need <= 6, the arrowhead tridiagonals of the n <= 7 sweep <= 8
 _QL_MAX_ITERATIONS = 30
 _EPS = 2.0**-52
 
@@ -181,6 +187,22 @@ def jacobi_eigenvalues(flat: list[float], n: int) -> list[float]:
     by it.
     """
     a = [[float(x) for x in flat[i * n : (i + 1) * n]] for i in range(n)]
+    d, e = _tridiagonalize(a, n)
+    _implicit_ql(d, e)
+    d.sort()
+    return d
+
+
+def _tridiagonalize(
+    a: list[list[float]], n: int, zt: list[list[float]] | None = None
+) -> tuple[list[float], list[float]]:
+    """Householder reduction of the symmetric matrix with rows ``a``
+    (overwritten) to the tridiagonal T = Q^T A Q.  Returns its diagonal d
+    and its off-diagonal e, e[i] coupling rows i and i + 1 (e[n-1] = 0).
+
+    Given ``zt``, the rows of the identity, each reflector P is applied to
+    it from the left, so it ends as Q^T = P_2 ... P_(n-1), row by row.
+    """
     d = [0.0] * n
     e = [0.0] * n  # e[i] couples rows i-1 and i
     for i in range(n - 1, 0, -1):
@@ -206,9 +228,32 @@ def jacobi_eigenvalues(flat: list[float], n: int) -> list[float]:
             qj = q[j]
             rj = a[j]
             rj[:i] = [x - uj * qk - qj * uk for x, qk, uk in zip(rj, q, u)]
+        if zt is not None:
+            # P zt: row j loses u_j / h times t = u^T zt
+            t = [0.0] * n
+            for uj, zj in zip(u, zt):
+                t = [x + uj * y for x, y in zip(t, zj)]
+            for j, uj in enumerate(u):
+                uj /= h
+                zt[j] = [x - uj * y for x, y in zip(zt[j], t)]
     if n:
         d[0] = a[0][0]
-    e = e[1:] + [0.0]
+    return d, e[1:] + [0.0]
+
+
+def _implicit_ql(
+    d: list[float], e: list[float], zt: list[list[float]] | None = None
+) -> None:
+    """Diagonalise the symmetric tridiagonal with diagonal d and
+    off-diagonal e (e[i] couples i and i + 1, e[n-1] = 0) in place by
+    implicit QL with Wilkinson shifts: d ends as the eigenvalues, in no
+    particular order, and e is destroyed.
+
+    Given ``zt``, each plane rotation is applied to its rows as well; if
+    it holds the rows of Q^T with A = Q T Q^T, row k ends as the
+    eigenvector of A for d[k].
+    """
+    n = len(d)
     for l in range(n):
         for _ in range(_QL_MAX_ITERATIONS + 1):
             m = l
@@ -238,6 +283,10 @@ def jacobi_eigenvalues(flat: list[float], n: int) -> list[float]:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
+                if zt is not None:
+                    x, y = zt[i], zt[i + 1]
+                    zt[i] = [c * xk - s * yk for xk, yk in zip(x, y)]
+                    zt[i + 1] = [s * xk + c * yk for xk, yk in zip(x, y)]
             else:
                 d[l] -= p
                 e[l] = g
@@ -246,6 +295,72 @@ def jacobi_eigenvalues(flat: list[float], n: int) -> list[float]:
             raise SpectralResolutionError(
                 f"implicit QL did not converge in {_QL_MAX_ITERATIONS} iterations"
             )
+
+
+def _base_eigensystem(adj: list[int], nb: int) -> tuple[list[float], list[tuple[float, ...]]]:
+    """Eigenvalues lam and orthogonal V with A = V diag(lam) V^T, for the
+    0/1 adjacency matrix of the nb-vertex graph given as neighbour
+    bitsets: Householder and implicit QL with the reflectors and rotations
+    accumulated.  V is returned as its rows, one per vertex."""
+    a = [[float(r >> j & 1) for j in range(nb)] for r in adj]
+    zt = [[float(i == j) for j in range(nb)] for i in range(nb)]
+    lam, e = _tridiagonalize(a, nb, zt)
+    _implicit_ql(lam, e, zt)
+    return lam, list(zip(*zt))
+
+
+def _bordered_eigenvalues(lam: list[float], z: list[float]) -> list[float]:
+    """Eigenvalues (ascending) of the arrowhead [[diag(lam), z], [z^T, 0]].
+
+    For j = 0, 1, ..., a rotation in plane (j, j+1) folds z_j into z_(j+1).
+    Rows j+1 onward are still diagonal, so it leaves one bulge, at
+    (j-1, j+1), which j more rotations chase up and out of the leading
+    tridiagonal block: (n-1)(n-2)/2 rotations for an n x n arrowhead.  The
+    last z entry then couples the final row, and implicit QL finishes.
+    """
+    nb = len(lam)
+    d = lam + [0.0]
+    e = [0.0] * (nb + 1)  # e[k] couples k and k+1
+    if not nb:
+        return d
+    x = z[0]  # z_j, with z_0..z_(j-1) folded into it
+    for j in range(nb - 1):
+        y = z[j + 1]
+        if x == 0.0:  # nothing to fold into z_(j+1)
+            x = y
+            continue
+        r = hypot(x, y)
+        c = y / r
+        s = -x / r
+        x = r
+        p = j
+        while True:
+            # the rotation (c, s) in plane (p, p+1), on its 2 x 2 block
+            a = d[p]
+            b = d[p + 1]
+            f = e[p]
+            cc = c * c
+            ss = s * s
+            cs = c * s
+            t = 2.0 * cs * f
+            d[p] = cc * a + t + ss * b
+            d[p + 1] = ss * a - t + cc * b
+            e[p] = (cc - ss) * f + cs * (b - a)
+            if not p:
+                break
+            p -= 1
+            # row p now reaches column p+2; rotate plane (p, p+1) to fold
+            # that bulge into e[p+1]
+            bulge = -s * e[p]
+            e[p] *= c
+            if bulge == 0.0:
+                break
+            r = hypot(bulge, e[p + 1])
+            c = e[p + 1] / r
+            s = -bulge / r
+            e[p + 1] = r
+    e[nb - 1] = x
+    _implicit_ql(d, e)
     d.sort()
     return d
 
@@ -354,9 +469,24 @@ def sweep_masks(
     the packed x φ_G - q.  Distinct keys are decoded to coefficient tuples
     once per call, with lanes wide enough for ``_coeff_bound``.
 
-    Still per graph: the float adjacency matrix and the degree vector (two
-    entries each per flip), the degree-regularity test, and the numeric
-    eigenvalues with their cluster count at ``tol``.
+    The numeric side shares the base as well.  ``_base_eigensystem``
+    decomposes A_G = V Λ V^T once per base (Householder and implicit QL,
+    reflectors and rotations accumulated).  Then (V ⊕ 1)^T A' (V ⊕ 1) is
+    the arrowhead [[Λ, z], [z^T, 0]] with z = V^T s, and z follows the walk
+    like T: ± row u of V per flip, n - 1 float additions.
+    ``_bordered_eigenvalues`` takes the arrowhead to a tridiagonal with
+    (n-1)(n-2)/2 Givens rotations and runs implicit QL on it.  Every step
+    is an orthogonal transformation carried out in floating point, V is
+    orthogonal to O(n ε), and z stays within 1e-13 of a fresh V^T s over a
+    whole walk (tested for n <= 8).  So the computed eigenvalues are those
+    of A' + E with ||E|| = O(n ε ||A'||): the same class of backward error
+    as Householder and QL on A' itself, and far inside ``tol``.  Each
+    graph's eigenvalues still answer for its own matrix, reached through
+    its own border.
+
+    Still per graph: the degree vector (two entries per flip), the
+    degree-regularity test, the arrowhead eigensolve and the cluster count
+    at ``tol``.
 
     Returns (total, irregular_count, stats, regular_masks): stats maps
     the charpoly (the coefficient tuple of ``charpoly_adj``) ->
@@ -379,32 +509,31 @@ def sweep_masks(
         u = nxt.bit_length() - 1
         gray = i ^ (i >> 1)
         walk.append((gray, u, 0 if i + 1 == 1 << nb else -1 if gray >> u & 1 else 1))
-    cells = [(u * n + nb, nb * n + u) for u in range(nb)]
     stats: dict[int, list[int]] = {}
     regular: list[int] = []
     for base in range(start, stop):
         adj = [0] * nb
-        flat = [0.0] * (n * n)
         m = base
         while m:
             low = m & -m
             i, j = pairs[low.bit_length() - 1]
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-            flat[i * n + j] = flat[j * n + i] = 1.0
             m ^= low
         nbrs = [[v for v in range(nb) if a >> v & 1] for a in adj]
         c = charpoly_adj(tuple(adj), nb)
         adjugate = _adjugate(nbrs, c, w)
         x_phi = _pack(c, w)
+        lam, v_rows = _base_eigensystem(adj, nb)
         deg = [len(row) for row in nbrs] + [0]
         t_row = [0] * nb
         q = 0
+        z = [0.0] * nb
         for gray, u, step in walk:
             if deg.count(deg[nb]) == n:
                 regular.append(base | gray << shift)
             key = x_phi - q
-            clusters = cluster_count(jacobi_eigenvalues(flat, n), tol)
+            clusters = cluster_count(_bordered_eigenvalues(lam, z), tol)
             entry = stats.get(key)
             if entry is None:
                 stats[key] = [1, clusters, clusters]
@@ -419,11 +548,11 @@ def sweep_masks(
                 if step > 0:
                     q += (t_row[u] << 1) + p_u[u]
                     t_row = list(map(add, t_row, p_u))
+                    z = list(map(add, z, v_rows[u]))
                 else:
                     t_row = list(map(sub, t_row, p_u))
                     q -= (t_row[u] << 1) + p_u[u]
-                a, b = cells[u]
-                flat[a] = flat[b] = float(step > 0)
+                    z = list(map(sub, z, v_rows[u]))
                 deg[u] += step
                 deg[nb] += step
     total = (stop - start) << nb

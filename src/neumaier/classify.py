@@ -11,7 +11,6 @@ graphs on n <= 8 vertices.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -887,6 +886,8 @@ def sweep_labeled(
     stats: dict[tuple[int, ...], list[int]] = {}
     regular_masks: list[int] = []
     if workers > 1 and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_labeled_chunk, args))
     else:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 
@@ -93,6 +92,8 @@ def analyze(input, output, format, workers) -> None:
     out = _open_out(output)
     try:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as ex:
                 records = list(ex.map(_classify_record, graphs, chunksize=8))
         else:

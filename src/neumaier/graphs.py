@@ -1,5 +1,4 @@
-"""Immutable bitset graphs, graph6 serialization, family generators, and
-exhaustive small-graph enumeration.
+"""Immutable bitset graphs, graph6 serialization and family generators.
 
 Vertices are the integers ``0..n-1``.  Adjacency is stored as one Python
 int per vertex: bit ``v`` of ``adj[u]`` is set iff ``u ~ v``.  All
@@ -363,20 +362,3 @@ def diameter(g: Graph) -> int | float:
             return math.inf
         best = max(best, dist)
     return best
-
-
-# ---------------------------------------------------------------------------
-# exhaustive enumeration
-
-ENUMERATION_MAX_N = 8
-
-
-def enumerate_all_graphs(n: int, visitor: Callable[[Graph], None]) -> int:
-    """Visit every labeled graph on n vertices exactly once, in ascending
-    edge-mask order, and return the number visited (2^(n(n-1)/2))."""
-    if not 1 <= n <= ENUMERATION_MAX_N:
-        raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
-    total = 1 << (n * (n - 1) // 2)
-    for mask in range(total):
-        visitor(from_edge_mask(n, mask))
-    return total

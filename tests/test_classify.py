@@ -25,7 +25,7 @@ from neumaier.graphs import (
     complete,
     complete_multipartite,
     cycle,
-    enumerate_all_graphs,
+    from_edge_mask,
     from_edges,
     johnson2,
     line_graph,
@@ -490,8 +490,7 @@ def test_sweep_verify_strictly_neumaier_cayley_z2z8():
 def test_sweep_labeled_matches_generic_sweep_n4():
     # the kernel-accelerated exhaustive path must agree with plain
     # classify-per-graph aggregation
-    graphs = []
-    enumerate_all_graphs(4, graphs.append)
+    graphs = [from_edge_mask(4, m) for m in range(64)]
     slow = sweep_verify(graphs)
     fast = sweep_labeled(4).aggregate
     assert fast.total == slow.total == 64

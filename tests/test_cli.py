@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import neumaier
 from neumaier import cli, spectra
 from neumaier.cli import main
 from neumaier.graphs import (
@@ -161,6 +166,17 @@ def test_sweep_worker_count_does_not_change_output():
     for doc in docs:
         del doc["elapsed_s"], doc["graphs_per_s"]
     assert docs[0] == docs[1]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only runs with --workers > 1 load the pool; the tests above with
+    # several workers still cover it
+    src = Path(neumaier.__file__).resolve().parent.parent
+    code = "import sys, neumaier.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_reports_time_and_throughput(tmp_path):

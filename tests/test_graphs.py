@@ -17,7 +17,6 @@ from neumaier.graphs import (
     diameter,
     edge_mask,
     encode_graph6,
-    enumerate_all_graphs,
     from_edge_mask,
     from_edges,
     generate,
@@ -229,20 +228,3 @@ def test_components_and_connectivity():
     assert is_connected(petersen())
 
 
-# ---------------------------------------------------------------------------
-# enumeration
-
-
-def test_enumeration_counts():
-    seen = []
-    assert enumerate_all_graphs(3, seen.append) == 8
-    assert len({edge_mask(g) for g in seen}) == 8
-    count = enumerate_all_graphs(4, lambda g: None)
-    assert count == 64
-
-
-def test_enumeration_bounds():
-    with pytest.raises(ValueError):
-        enumerate_all_graphs(0, lambda g: None)
-    with pytest.raises(ValueError):
-        enumerate_all_graphs(9, lambda g: None)

@@ -316,6 +316,78 @@ def test_sweep_masks_matches_per_mask_scan_seeded_n7_n8():
             assert sorted(regular) == ref[3]
 
 
+def assert_bordered_eigenvalues(base):
+    """The base's decomposition A = V diag(lam) V^T, and for every border s
+    the arrowhead eigenvalues with z = V^T s against LAPACK on the bordered
+    adjacency matrix."""
+    nb = base.n
+    lam, v_rows = kernel._slow._base_eigensystem(list(base.adj), nb)
+    a = oracles.adjacency_matrix(base)
+    v = np.array(v_rows).reshape(nb, nb)
+    assert np.allclose(v @ np.diag(lam) @ v.T, a, rtol=0, atol=1e-13)
+    assert np.allclose(v.T @ v, np.eye(nb), rtol=0, atol=1e-13)
+    borders = np.array([[float(b >> u & 1) for u in range(nb)] for b in range(1 << nb)])
+    full = np.zeros((1 << nb, nb + 1, nb + 1))
+    full[:, :nb, :nb] = a
+    full[:, :nb, nb] = full[:, nb, :nb] = borders.reshape(1 << nb, nb)
+    for s, expect in zip(borders, np.linalg.eigvalsh(full)):
+        got = kernel._slow._bordered_eigenvalues(lam, (s @ v).tolist())
+        assert np.allclose(got, expect, rtol=0, atol=1e-12), (nb, s)
+
+
+def test_bordered_eigenvalues_match_lapack_exhaustive_n6():
+    # every labeled graph with n <= 6: its first n - 1 vertices are the
+    # base (0 vertices at n = 1, one at n = 2), the last one the border
+    for nb in range(6):
+        for mask in range(1 << (nb * (nb - 1) // 2)):
+            assert_bordered_eigenvalues(from_edge_mask(nb, mask))
+
+
+def test_bordered_eigenvalues_on_repeated_base_eigenvalues():
+    # the empty base (one eigenvalue of multiplicity n - 1) up to n = 8,
+    # K_(n-1) (-1 with multiplicity n - 2) and K_(3,3) at n = 7
+    bases = [from_edges(nb, []) for nb in range(8)] + [complete(nb) for nb in range(1, 8)]
+    bases.append(complete_multipartite(2, 3))
+    for base in bases:
+        assert_bordered_eigenvalues(base)
+
+
+def test_sweep_border_vector_tracks_a_fresh_product(monkeypatch):
+    """``sweep_masks`` keeps z by adding and subtracting rows of V along
+    the Gray walk; at every border, the last one included, z stays within
+    1e-13 of a freshly computed V^T s."""
+    slow = kernel._slow
+    base_eigensystem = slow._base_eigensystem
+    bordered_eigenvalues = slow._bordered_eigenvalues
+    seen = []  # (V, the z of every border in walk order), one per base
+
+    def record_base(adj, nb):
+        lam, v_rows = base_eigensystem(adj, nb)
+        seen.append((np.array(v_rows).reshape(nb, nb), []))
+        return lam, v_rows
+
+    def record_border(lam, z):
+        seen[-1][1].append(list(z))
+        return bordered_eigenvalues(lam, z)
+
+    monkeypatch.setattr(slow, "_base_eigensystem", record_base)
+    monkeypatch.setattr(slow, "_bordered_eigenvalues", record_border)
+    rng = random.Random(1995)
+    ranges = [(7, 0, 2), (7, 32766, 32768), (8, 0, 1), (8, (1 << 21) - 1, 1 << 21)]
+    for n in (7, 8):
+        start = rng.randrange((1 << (n - 1) * (n - 2) // 2) - 2)
+        ranges.append((n, start, start + 2))
+    for n, start, stop in ranges:
+        seen.clear()
+        slow.sweep_masks(n, start, stop, 1e-7)
+        nb = n - 1
+        gray = [i ^ i >> 1 for i in range(1 << nb)]
+        borders = np.array([[float(b >> u & 1) for u in range(nb)] for b in gray])
+        assert len(seen) == stop - start
+        for v, zs in seen:
+            assert np.abs(np.array(zs) - borders @ v).max() <= 1e-13, (n, start)
+
+
 def test_charpoly_key_lanes_hold_the_coefficient_bound():
     for n in range(1, 9):
         w = kernel._slow._lane_bits(n)
