@@ -17,15 +17,15 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
 from .cliques import (
     CliqueReport,
     ExtensionReport,
     RegularCliques,
-    cliques_of_order,
     extension_hypothesis_holds,
+    max_clique_order,
     regular_cliques,
 )
 from .errors import ConsistencyError
@@ -52,6 +52,7 @@ from .regularity import (
 )
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
+    CharPoly,
     Spectrum,
     _distinct_from_key,
     exact_integer_eigenvalue,
@@ -126,17 +127,34 @@ class Analysis:
 
     @cached_property
     def regular_cliques(self) -> RegularCliques:
-        if self.graph.n == 0 or self.is_complete:
+        """The regular cliques, searched only where the spectrum allows one.
+
+        A regular clique C of order c and nexus e >= 1 in a k-regular graph
+        on v vertices makes {C, V\\C} an equitable partition with quotient
+        [[c-1, k-c+1], [e, k-e]], so the quotient's eigenvalue c-1-e is an
+        eigenvalue of the graph (Godsil & Royle, ch. 9).  On a regular
+        graph the maximal-clique search runs only when some order c passes
+        ``regular_clique_orders``; otherwise it could find nothing and the
+        result is empty.  Other graphs are always searched.
+        """
+        g = self.graph
+        if g.n == 0 or self.is_complete:
             return RegularCliques()
-        return regular_cliques(self.graph)
+        if self.is_regular and not any(
+            regular_clique_orders(g.n, g.adj[0].bit_count(), self.spectrum.charpoly)
+        ):
+            return RegularCliques()
+        return regular_cliques(g)
 
     @cached_property
     def max_clique_order(self) -> int:
         """Largest maximal-clique order, from the pass that found the
-        regular cliques; K_n has one maximal clique, of order n."""
+        regular cliques, or from a pass of its own when the spectrum ruled
+        that search out (its ``max_order`` is then 0); K_n has one maximal
+        clique, of order n."""
         if self.graph.n == 0 or self.is_complete:
             return self.graph.n
-        return self.regular_cliques.max_order
+        return self.regular_cliques.max_order or max_clique_order(self.graph)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -195,6 +213,21 @@ class Analysis:
         if e * (erg.v - s - 1) != (s + 1) * (erg.k - s):
             raise ConsistencyError("nexus does not satisfy e = (s+1)(k-s)/(v-s-1)")
         return s, e
+
+
+def regular_clique_orders(v: int, k: int, p: CharPoly) -> Iterator[tuple[int, int]]:
+    """Every (c, e) that a regular clique of a k-regular graph on v
+    vertices with charpoly p could have, in ascending c.
+
+    Counting the edges that leave a regular clique C of order c gives
+    e(v - c) = c(k - c + 1); an outside vertex seeing all of C would
+    extend it, so 1 <= e <= c - 1; and c - 1 - e is an integer eigenvalue
+    (``Analysis.regular_cliques``), so a root of p.  All of this is exact.
+    """
+    for c in range(2, min(k + 1, v - 1) + 1):
+        e, rem = divmod(c * (k - c + 1), v - c)
+        if not rem and 1 <= e < c and p.eval_int(c - 1 - e) == 0:
+            yield c, e
 
 
 @dataclass
@@ -489,18 +522,8 @@ def verify_extension_theorem(g: Graph, ctx: Analysis | None = None) -> TheoremOu
             vacuous=True,
             detail=f"extension hypothesis fails at (e+1)-clique {members}",
         )
-    n = g.n
-    through_vertex = [0] * n
-    through_pair = [0] * (n * n)
-    for c in cliques_of_order(g, s + 1):
-        members = list(bits(c))
-        for i, u in enumerate(members):
-            through_vertex[u] += 1
-            row = u * n
-            for v in members[i + 1:]:
-                through_pair[row + v] += 1
-    per_edge = {through_pair[u * n + v] for u, v in g.edges()}
-    per_vertex = set(through_vertex)
+    per_edge = set(ext.per_edge)
+    per_vertex = set(ext.per_vertex)
     constant = len(per_edge) == 1 and len(per_vertex) == 1
     holds = ctx.taxonomy == Taxonomy.NEUMAIER_SRG and constant
     return TheoremOutcome(

@@ -1,6 +1,14 @@
 """Clique enumeration over bitsets: maximal cliques (pivoting
 backtracking), regular-clique detection, equitable bipartitions with
-their 2x2 quotient, and the clique-extension hypothesis check."""
+their 2x2 quotient, and the clique-extension hypothesis check.
+
+A regular clique C of order c and nexus e in a k-regular graph makes
+{C, V\\C} an equitable bipartition with quotient [[c-1, k-c+1],
+[e, k-e]], whose eigenvalues k and c-1-e are eigenvalues of the graph.
+``classify.Analysis`` runs ``regular_cliques`` on a regular graph only
+when its exact charpoly has such a root; otherwise the search is empty
+by this argument and is skipped.
+"""
 
 from __future__ import annotations
 
@@ -36,6 +44,10 @@ class EquitableBipartition:
 class ExtensionReport:
     holds: bool
     witness: int | None  # first (e+1)-clique with no extension
+    #: where the hypothesis holds, the (s+1)-cliques through each vertex,
+    #: and through each edge in ``Graph.edges()`` order
+    per_vertex: tuple[int, ...] = ()
+    per_edge: tuple[int, ...] = ()
 
 
 class RegularCliques(list):
@@ -97,12 +109,6 @@ def _pivot(adj: list[int], p: int, x: int) -> int:
             pivot = u
         w ^= low
     return pivot
-
-
-def outside_counts(g: Graph, clique: int) -> list[int]:
-    """|N(x) & C| for every x outside C, in ascending vertex order."""
-    rest = ((1 << g.n) - 1) ^ clique
-    return [(g.adj[x] & clique).bit_count() for x in bits(rest)]
 
 
 def regular_cliques(g: Graph) -> RegularCliques:
@@ -197,7 +203,9 @@ def extension_hypothesis_holds(g: Graph, e: int, s: int) -> ExtensionReport:
     ``e`` and ``s`` must be the regular-clique parameters of a Neumaier
     graph.  When the hypothesis holds, two proven consequences are also
     verified (unique extensions; every maximal clique has order s+1) and
-    their failure raises ConsistencyError.  On failure the witness is the
+    their failure raises ConsistencyError.  The (s+1)-cliques are then
+    exactly the maximal cliques, so the walk that checks their order also
+    counts them per vertex and per edge.  On failure the witness is the
     first inextensible (e+1)-clique in enumeration order.
     """
     if not 1 <= e <= s:
@@ -218,16 +226,26 @@ def extension_hypothesis_holds(g: Graph, e: int, s: int) -> ExtensionReport:
             return ExtensionReport(False, h)
         if containing != 1:
             unique = False
-    all_s1 = all(c.bit_count() == s + 1 for c in maximal_cliques(g))
     if not unique:
         raise ConsistencyError(
             "extension hypothesis holds but some extension is not unique"
         )
-    if not all_s1:
-        raise ConsistencyError(
-            "extension hypothesis holds but a maximal clique misses order s+1"
-        )
-    return ExtensionReport(True, None)
+    n = g.n
+    per_vertex = [0] * n
+    per_pair = [0] * (n * n)
+    for c in maximal_cliques(g):
+        if c.bit_count() != s + 1:
+            raise ConsistencyError(
+                "extension hypothesis holds but a maximal clique misses order s+1"
+            )
+        members = list(bits(c))
+        for i, u in enumerate(members):
+            per_vertex[u] += 1
+            row = u * n
+            for v in members[i + 1:]:
+                per_pair[row + v] += 1
+    per_edge = tuple(per_pair[u * n + v] for u, v in g.edges())
+    return ExtensionReport(True, None, tuple(per_vertex), per_edge)
 
 
 def _count_cliques_within(adj: list[int], cand: int, t: int, limit: int) -> int:

@@ -159,27 +159,10 @@ def is_complete_multipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
 
 def _clique_quadratic(v, k, lam):
     """Coefficients (a, b, c) of the clique-bound quadratic
-    (v+lam-2k) s^2 + (k^2-k+lam-v*lam) s - k(v-k-1) = 0, exact on ints
-    and on Fractions."""
+    (v+lam-2k) s^2 + (k^2-k+lam-v*lam) s - k(v-k-1) = 0, whose positive
+    root s bounds every clique order by s+1; exact on ints and on
+    Fractions."""
     return v + lam - 2 * k, k * k - k + lam - v * lam, -k * (v - k - 1)
-
-
-def clique_bound_s(p: ErgParams) -> float:
-    """The positive root s of the clique-bound quadratic
-    (``_clique_quadratic``), bounding every clique order by s+1.
-
-    Requires v+lam-2k > 0 (complete multipartite graphs use their part
-    count instead; see is_complete_multipartite).
-    """
-    a, b, c = _clique_quadratic(p.v, p.k, p.lam)
-    if a <= 0:
-        raise ValueError(
-            "clique bound undefined: v + lam - 2k = 0 (complete multipartite); "
-            "use the part count"
-        )
-    s = _positive_quadratic_root(float(a), float(b), float(c))
-    _check_quadratic_residual(a, b, c, s)
-    return s
 
 
 def exact_clique_s(p: ErgParams) -> int | None:
@@ -192,14 +175,6 @@ def exact_clique_s(p: ErgParams) -> int | None:
     if a * r * r + b * r + c == 0:
         return r
     return None
-
-
-def nexus_e(v: float, k: float, s: float) -> float:
-    """e = (s+1)(k-s) / (v-(s+1)): the forced outside-adjacency count of
-    a regular clique of order s+1."""
-    if v - (s + 1) == 0:
-        raise ValueError("v = s + 1 only happens for complete graphs")
-    return (s + 1) * (k - s) / (v - (s + 1))
 
 
 def _positive_quadratic_root(a: float, b: float, c: float) -> float:

@@ -25,6 +25,10 @@ bisect the tolerance geometrically in [1e-13, 1.0].  Splitting at the
 d - 1 widest gaps must give the same clusters, and fail on the same
 inputs.
 
+Three closed forms that only tests called stay here as references: the
+outside-adjacency counts of a clique, and the float clique-bound root s
+and nexus e of edge-regular parameters.
+
 The eight strictly Neumaier Cayley graphs of Z2 x Z8 are found here by
 search over connection sets, so the spectra and classify tests share
 one positive control.
@@ -312,7 +316,8 @@ def reference_maximal_cliques(g: Graph) -> Iterator[int]:
 def pairing_extension_hypothesis(g: Graph, e: int, s: int) -> ExtensionReport:
     """``neumaier.cliques.extension_hypothesis_holds`` by pairing every
     (e+1)-clique with every (s+1)-clique: same report, same witness, same
-    exceptions."""
+    exceptions, and the per-vertex and per-edge counts taken from the
+    (s+1)-cliques themselves rather than from the maximal cliques."""
     if not 1 <= e <= s:
         raise ValueError("need 1 <= e <= s for a regular-clique pair (e, s)")
     big = list(cliques_of_order(g, s + 1))
@@ -334,7 +339,43 @@ def pairing_extension_hypothesis(g: Graph, e: int, s: int) -> ExtensionReport:
         raise ConsistencyError(
             "extension hypothesis holds but a maximal clique misses order s+1"
         )
-    return ExtensionReport(True, None)
+    per_vertex = tuple(sum(1 for c in big if c >> u & 1) for u in range(g.n))
+    per_edge = tuple(
+        sum(1 for c in big if c & (1 << u | 1 << v) == 1 << u | 1 << v)
+        for u, v in g.edges()
+    )
+    return ExtensionReport(True, None, per_vertex, per_edge)
+
+
+def outside_counts(g: Graph, clique: int) -> list[int]:
+    """|N(x) & C| for every x outside C, in ascending vertex order."""
+    return [
+        sum(1 for u in bits(clique) if g.has_edge(x, u))
+        for x in range(g.n)
+        if not clique >> x & 1
+    ]
+
+
+def clique_bound_s(p) -> float:
+    """Positive root s of the clique-bound quadratic
+    (v+lam-2k) s^2 + (k^2-k+lam-v*lam) s - k(v-k-1) = 0 of edge-regular
+    parameters ``p``: every clique has order at most s+1.  Needs
+    v+lam-2k > 0 (complete multipartite graphs have v+lam-2k = 0)."""
+    v, k, lam = p.v, p.k, p.lam
+    a = v + lam - 2 * k
+    if a <= 0:
+        raise ValueError("clique bound undefined: v + lam - 2k = 0")
+    b = k * k - k + lam - v * lam
+    c = -k * (v - k - 1)
+    return (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
+
+
+def nexus_e(v: float, k: float, s: float) -> float:
+    """e = (s+1)(k-s) / (v-(s+1)): the forced outside-adjacency count of
+    a regular clique of order s+1."""
+    if v - (s + 1) == 0:
+        raise ValueError("v = s + 1 only happens for complete graphs")
+    return (s + 1) * (k - s) / (v - (s + 1))
 
 
 def brute_cliques_of_order(g: Graph, t: int) -> set[frozenset[int]]:

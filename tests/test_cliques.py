@@ -10,7 +10,6 @@ from neumaier.cliques import (
     is_equitable_bipartition,
     max_clique_order,
     maximal_cliques,
-    outside_counts,
     regular_cliques,
 )
 from neumaier.graphs import (
@@ -21,13 +20,13 @@ from neumaier.graphs import (
     cycle,
     from_edge_mask,
     from_edges,
+    is_complete,
     johnson2,
     petersen,
     rook,
 )
 from neumaier.errors import ConsistencyError
 from neumaier.regularity import (
-    clique_bound_s,
     edge_regular_params,
     exact_clique_s,
     is_complete_multipartite,
@@ -126,7 +125,7 @@ def test_regular_cliques_petersen_and_octahedron():
 def test_outside_counts():
     g = rook(3)
     row = 0b111  # vertices 0,1,2
-    assert outside_counts(g, row) == [1] * 6
+    assert oracles.outside_counts(g, row) == [1] * 6
 
 
 def test_equitable_bipartition_rook_row():
@@ -235,7 +234,7 @@ def test_clique_order_bound_small_sweep():
             erg = edge_regular_params(g)
             if erg is None or is_complete_multipartite(g)[0]:
                 continue
-            s = clique_bound_s(erg)
+            s = oracles.clique_bound_s(erg)
             omega = max_clique_order(g)
             assert omega <= int(s) + 1
             s_int = exact_clique_s(erg)
@@ -243,7 +242,7 @@ def test_clique_order_bound_small_sweep():
                 c
                 for t in range(1, omega + 1)
                 for c in cliques_of_order(g, t)
-                if len(set(outside_counts(g, c))) == 1
+                if len(set(oracles.outside_counts(g, c))) == 1
             }
             if s_int is None:
                 # irrational s is never attained, so no clique anywhere in
@@ -280,7 +279,7 @@ def test_regular_iff_equitable_positive_on_regular_graphs():
             if is_complete(g):
                 continue
             for c in maximal_cliques(g):
-                counts = outside_counts(g, c)
+                counts = oracles.outside_counts(g, c)
                 reg = counts[0] > 0 and len(set(counts)) == 1
                 eq = is_equitable_bipartition(g, c)
                 assert reg == (eq.equitable and eq.quotient[1][0] > 0)
@@ -300,8 +299,10 @@ def test_regular_cliques_carry_the_largest_maximal_clique_order():
 
 def test_classify_enumerates_maximal_cliques_once_per_graph(monkeypatch):
     """The regular cliques and the largest clique order come from one
-    enumeration; only the extension check, when its hypothesis holds,
-    walks the maximal cliques again."""
+    enumeration, made only where the spectrum admits a regular clique;
+    the extension check walks the maximal cliques again once its
+    hypothesis holds.  A graph the spectrum rules out gets no pass, or
+    one when Hoffman reads its clique number (edge-regular graphs)."""
     import neumaier.cliques as cq
     from neumaier.classify import Analysis, classify
 
@@ -313,16 +314,86 @@ def test_classify_enumerates_maximal_cliques_once_per_graph(monkeypatch):
         return original(g)
 
     monkeypatch.setattr(cq, "maximal_cliques", counted)
-    extended = 0
-    for g in (petersen(), johnson2(6), rook(4), complement(rook(4)), complete_multipartite(3, 3)):
+    expected = [
+        (petersen(), 1),  # ruled out; edge-regular, so Hoffman's own pass
+        (dense_regular(40, 6, 0), 0),  # ruled out; not edge-regular
+        (johnson2(6), 1),  # extension hypothesis fails
+        (rook(4), 2),
+        (complement(rook(4)), 2),
+        (complete_multipartite(3, 3), 2),
+    ]
+    for g, want in expected:
         passes.clear()
-        ext = classify(g).theorems["extension"]
-        # the extension verifier's own pass runs only once its hypothesis holds
-        again = ext.status == "holds" and not ext.vacuous
-        extended += again
-        assert len(passes) == 1 + again
-    assert extended >= 2
+        classify(g)
+        assert len(passes) == want
     ctx = Analysis(complement(petersen()))
     passes.clear()
     assert ctx.max_clique_order == max_clique_order(complement(petersen())) == 4
     assert len(passes) == 2  # the Analysis pass and the reference one
+
+
+# ---------------------------------------------------------------------------
+# the spectral gate in front of the regular-clique search
+
+
+def test_gated_search_matches_full_search_on_regular_graphs(sweep_results, sweep7):
+    from neumaier.classify import Analysis
+
+    checked = 0
+    for n, res in [*sweep_results.items(), (7, sweep7)]:
+        for mask in res.regular_masks:
+            g = from_edge_mask(n, mask)
+            if is_complete(g):
+                continue
+            ctx = Analysis(g)
+            assert ctx.regular_cliques == regular_cliques(g)
+            assert ctx.max_clique_order == max_clique_order(g)
+            checked += 1
+    assert checked == 1124  # 1 + 1 + 7 + 13 + 171 + 931 for n = 2..7
+
+
+def test_neumaier_graphs_pass_the_gate_at_s_minus_e():
+    from neumaier.classify import Analysis, regular_clique_orders
+
+    graphs = [g for g in family_members() if Analysis(g).is_neumaier]
+    graphs += oracles.cayley_z2z8_lambda4()
+    assert len(graphs) > 20
+    for g in graphs:
+        ctx = Analysis(g)
+        s, e = ctx.s_e
+        p = ctx.spectrum.charpoly
+        assert (s + 1, e) in set(regular_clique_orders(g.n, g.adj[0].bit_count(), p))
+        assert p.eval_int(s - e) == 0
+
+
+def test_gate_skips_the_search_when_no_order_is_admitted(monkeypatch):
+    import neumaier.cliques as cq
+    from neumaier.classify import Analysis
+
+    def refuse(g):
+        raise AssertionError("maximal cliques enumerated behind a closed gate")
+
+    graphs = [petersen(), dense_regular(40, 6, 1)]
+    monkeypatch.setattr(cq, "maximal_cliques", refuse)
+    for g in graphs:
+        ctx = Analysis(g)
+        assert ctx.regular_cliques == [] and ctx.regular_cliques.max_order == 0
+    monkeypatch.undo()
+    for g in graphs:
+        assert regular_cliques(g) == []
+
+
+def test_regular_cliques_give_the_quotient_eigenvalue_c_minus_1_minus_e():
+    found = 0
+    for g in family_members():
+        if g.n == 0 or is_complete(g) or not is_regular(g):
+            continue
+        k = g.adj[0].bit_count()
+        for r in regular_cliques(g):
+            c, e = r.order, r.nexus
+            eq = is_equitable_bipartition(g, r.members)
+            assert eq.equitable
+            assert eq.quotient == ((c - 1, k - c + 1), (e, k - e))
+            assert eq.eigenvalues == (k, c - 1 - e)
+            found += 1
+    assert found > 100

@@ -19,13 +19,11 @@ from neumaier.regularity import (
     ErgParams,
     MuTrichotomy,
     avg_params,
-    clique_bound_s,
     degree_profile,
     edge_regular_params,
     exact_clique_s,
     is_complete_multipartite,
     mu_trichotomy,
-    nexus_e,
     srg_params,
     triangle_count,
 )
@@ -110,12 +108,12 @@ def test_multipartite_boundary_biconditional_small():
 
 
 def test_clique_bound_examples():
-    assert abs(clique_bound_s(ErgParams(9, 4, 1)) - 2.0) < 1e-12
-    assert abs(clique_bound_s(ErgParams(10, 3, 0)) - 1.5) < 1e-12
+    assert abs(oracles.clique_bound_s(ErgParams(9, 4, 1)) - 2.0) < 1e-12
+    assert abs(oracles.clique_bound_s(ErgParams(10, 3, 0)) - 1.5) < 1e-12
     # C_5: s = -1 + sqrt(5)
-    assert abs(clique_bound_s(ErgParams(5, 2, 0)) - (-1 + math.sqrt(5))) < 1e-12
+    assert abs(oracles.clique_bound_s(ErgParams(5, 2, 0)) - (-1 + math.sqrt(5))) < 1e-12
     with pytest.raises(ValueError):
-        clique_bound_s(ErgParams(4, 2, 0))  # C_4 is complete multipartite
+        oracles.clique_bound_s(ErgParams(4, 2, 0))  # C_4 is complete multipartite
 
 
 def test_exact_clique_s():
@@ -124,11 +122,11 @@ def test_exact_clique_s():
 
 
 def test_nexus_examples():
-    assert nexus_e(9, 4, 2) == 1
-    assert nexus_e(10, 6, 3) == 2
-    assert nexus_e(6, 4, 2) == 2  # octahedron: e = s
+    assert oracles.nexus_e(9, 4, 2) == 1
+    assert oracles.nexus_e(10, 6, 3) == 2
+    assert oracles.nexus_e(6, 4, 2) == 2  # octahedron: e = s
     with pytest.raises(ValueError):
-        nexus_e(4, 3, 3)
+        oracles.nexus_e(4, 3, 3)
 
 
 def test_avg_params_petersen():
