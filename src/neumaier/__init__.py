@@ -72,28 +72,20 @@ from .graphs import (
 from .regularity import (
     AvgParams,
     ErgParams,
-    MuTrichotomy,
     SrgParams,
     avg_params,
-    degree_profile,
     edge_regular_params,
     exact_clique_s,
     is_complete_multipartite,
     is_regular,
-    mu_trichotomy,
     srg_params,
     triangle_count,
 )
 from .spectra import (
     CharPoly,
-    DEFAULT_CLUSTER_TOL,
-    SpectralClass,
     Spectrum,
     charpoly,
-    classify_by_eigenvalue_count,
-    distinct_eigenvalue_count,
     exact_integer_eigenvalue,
-    named_eigenvalues,
     spectrum,
 )
 

@@ -43,6 +43,10 @@ KERNEL_KIND = "python"
 #: vertices need <= 6, the arrowhead tridiagonals of the n <= 7 sweep <= 8
 _QL_MAX_ITERATIONS = 30
 _EPS = 2.0**-52
+#: gap at which ``sweep_masks`` starts a new cluster when it counts each
+#: graph's numeric eigenvalues; integer adjacency matrices at desk scale
+#: have far larger true gaps
+SWEEP_CLUSTER_TOL = 1e-7
 
 
 def charpoly_adj(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -451,7 +455,7 @@ def _adjugate(nbrs: list[list[int]], c: tuple[int, ...], w: int) -> list[list[in
 
 
 def sweep_masks(
-    n: int, start: int, stop: int, tol: float
+    n: int, start: int, stop: int
 ) -> tuple[int, int, dict[tuple[int, ...], list[int]], list[int]]:
     """Scan every labeled n-vertex graph whose base mask is in [start, stop).
 
@@ -480,13 +484,13 @@ def sweep_masks(
     orthogonal to O(n ε), and z stays within 1e-13 of a fresh V^T s over a
     whole walk (tested for n <= 8).  So the computed eigenvalues are those
     of A' + E with ||E|| = O(n ε ||A'||): the same class of backward error
-    as Householder and QL on A' itself, and far inside ``tol``.  Each
-    graph's eigenvalues still answer for its own matrix, reached through
-    its own border.
+    as Householder and QL on A' itself, and far inside the 1e-7 cluster
+    gap.  Each graph's eigenvalues still answer for its own matrix,
+    reached through its own border.
 
     Still per graph: the degree vector (two entries per flip), the
     degree-regularity test, the arrowhead eigensolve and the cluster count
-    at ``tol``.
+    at the fixed gap ``SWEEP_CLUSTER_TOL``.
 
     Returns (total, irregular_count, stats, regular_masks): stats maps
     the charpoly (the coefficient tuple of ``charpoly_adj``) ->
@@ -509,6 +513,7 @@ def sweep_masks(
         u = nxt.bit_length() - 1
         gray = i ^ (i >> 1)
         walk.append((gray, u, 0 if i + 1 == 1 << nb else -1 if gray >> u & 1 else 1))
+    tol = SWEEP_CLUSTER_TOL
     stats: dict[int, list[int]] = {}
     regular: list[int] = []
     for base in range(start, stop):

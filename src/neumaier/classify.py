@@ -22,7 +22,6 @@ from typing import Iterable, Iterator, Sequence
 from . import _kernels
 from .cliques import (
     CliqueReport,
-    ExtensionReport,
     RegularCliques,
     extension_hypothesis_holds,
     max_clique_order,
@@ -51,7 +50,6 @@ from .regularity import (
     srg_params,
 )
 from .spectra import (
-    DEFAULT_CLUSTER_TOL,
     CharPoly,
     Spectrum,
     _distinct_from_key,
@@ -72,6 +70,10 @@ class Taxonomy(Enum):
     NEUMAIER_SRG = "NeumaierSRG"
     STRICTLY_NEUMAIER = "StrictlyNeumaier"
     COMPLETE_EXCLUDED = "CompleteExcluded"
+
+
+#: the taxa of Neumaier graphs: edge-regular with a regular clique
+NEUMAIER_TAXA = (Taxonomy.NEUMAIER_SRG, Taxonomy.STRICTLY_NEUMAIER)
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ class Analysis:
 
     @property
     def is_neumaier(self) -> bool:
-        return self.taxonomy in (Taxonomy.NEUMAIER_SRG, Taxonomy.STRICTLY_NEUMAIER)
+        return self.taxonomy in NEUMAIER_TAXA
 
     @cached_property
     def s_e(self) -> tuple[int, int] | None:
@@ -248,10 +250,6 @@ class ClassReport:
     theorems: dict[str, TheoremOutcome]
 
 
-def _witness(ctx: Analysis) -> str | None:
-    return ctx.graph6
-
-
 def verify_eigenvalue_sandwich(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
     """theta_min <= theta_m and theta_max2 >= theta_M for connected
     regular non-complete-multipartite graphs, with equality (both, within
@@ -288,7 +286,7 @@ def verify_eigenvalue_sandwich(g: Graph, ctx: Analysis | None = None) -> Theorem
     return TheoremOutcome(
         "holds" if holds else "violated",
         equality=eq_a and eq_b,
-        witness=None if holds else _witness(ctx),
+        witness=None if holds else ctx.graph6,
         detail=detail,
     )
 
@@ -353,7 +351,7 @@ def verify_hoffman_equivalence(g: Graph, ctx: Analysis | None = None) -> Theorem
     if maxc > bound + EIG_EQ_TOL:
         return TheoremOutcome(
             "violated",
-            witness=_witness(ctx),
+            witness=ctx.graph6,
             detail=f"clique of order {maxc} exceeds Hoffman bound {bound:.12g}",
         )
     if bound_exact is not None:
@@ -369,7 +367,7 @@ def verify_hoffman_equivalence(g: Graph, ctx: Analysis | None = None) -> Theorem
     return TheoremOutcome(
         "holds" if holds else "violated",
         equality=attained,
-        witness=None if holds else _witness(ctx),
+        witness=None if holds else ctx.graph6,
         detail=detail,
     )
 
@@ -400,7 +398,7 @@ def verify_delsarte_equivalence(g: Graph, ctx: Analysis | None = None) -> Theore
     return TheoremOutcome(
         "holds" if holds else "violated",
         equality=delsarte_ok,
-        witness=None if holds else _witness(ctx),
+        witness=None if holds else ctx.graph6,
         detail=detail,
     )
 
@@ -451,7 +449,7 @@ def verify_walk_regular_theorem(g: Graph, ctx: Analysis | None = None) -> Theore
     holds = ctx.taxonomy == Taxonomy.NEUMAIER_SRG
     return TheoremOutcome(
         "holds" if holds else "violated",
-        witness=None if holds else _witness(ctx),
+        witness=None if holds else ctx.graph6,
         detail=f"1-walk-regular with regular clique; taxonomy={ctx.taxonomy.value}",
     )
 
@@ -467,7 +465,7 @@ def verify_minus_two_corollary(g: Graph, ctx: Analysis | None = None) -> Theorem
         holds = ctx.taxonomy == Taxonomy.NEUMAIER_SRG
         return TheoremOutcome(
             "holds" if holds else "violated",
-            witness=None if holds else _witness(ctx),
+            witness=None if holds else ctx.graph6,
             detail=f"theta_min={tmin:.12g} >= -2",
         )
     return TheoremOutcome("holds", vacuous=True, detail=f"theta_min={tmin:.12g} < -2")
@@ -482,7 +480,7 @@ def verify_no_four_eigenvalues(g: Graph, ctx: Analysis | None = None) -> Theorem
     holds = d != 4
     return TheoremOutcome(
         "holds" if holds else "violated",
-        witness=None if holds else _witness(ctx),
+        witness=None if holds else ctx.graph6,
         detail=f"distinct eigenvalue count = {d}",
     )
 
@@ -500,7 +498,7 @@ def verify_multipartite_boundary(g: Graph, ctx: Analysis | None = None) -> Theor
     return TheoremOutcome(
         "holds" if holds else "violated",
         equality=boundary,
-        witness=None if holds else _witness(ctx),
+        witness=None if holds else ctx.graph6,
         detail=f"v+lam-2k={erg.v + erg.lam - 2 * erg.k}, multipartite={cm}",
     )
 
@@ -528,7 +526,7 @@ def verify_extension_theorem(g: Graph, ctx: Analysis | None = None) -> TheoremOu
     holds = ctx.taxonomy == Taxonomy.NEUMAIER_SRG and constant
     return TheoremOutcome(
         "holds" if holds else "violated",
-        witness=None if holds else _witness(ctx),
+        witness=None if holds else ctx.graph6,
         detail=(
             f"extension hypothesis holds; taxonomy={ctx.taxonomy.value}; "
             f"cliques per edge {sorted(per_edge)}, per vertex {sorted(per_vertex)}"
@@ -702,7 +700,7 @@ def classify_line_graph_neumaier(root: Graph) -> LineGraphReport:
     """
     lg = line_graph(root)  # raises ValueError on edgeless roots
     rep = classify(lg)
-    if rep.taxonomy not in (Taxonomy.NEUMAIER_SRG, Taxonomy.STRICTLY_NEUMAIER):
+    if rep.taxonomy not in NEUMAIER_TAXA:
         return LineGraphReport("NotNeumaier", (), None, rep)
     if rep.taxonomy != Taxonomy.NEUMAIER_SRG:
         raise ConsistencyError(
@@ -782,7 +780,7 @@ class SweepAggregate:
             self.distinct_histogram[d] = self.distinct_histogram.get(d, 0) + 1
         for tid, outcome in rep.theorems.items():
             self.record_outcome(tid, outcome)
-        if rep.taxonomy in (Taxonomy.NEUMAIER_SRG, Taxonomy.STRICTLY_NEUMAIER):
+        if rep.taxonomy in NEUMAIER_TAXA:
             if rep.spectrum.distinct_count == 4:
                 self.neumaier_four_count += 1
         if rep.taxonomy == Taxonomy.STRICTLY_NEUMAIER:
@@ -860,9 +858,7 @@ _CHUNK_GRAPHS = 1 << 16
 
 def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int]]:
     n, start, stop, ids = args
-    total, irregular, stats, regular = _kernels.sweep_masks(
-        n, start, stop, DEFAULT_CLUSTER_TOL
-    )
+    total, irregular, stats, regular = _kernels.sweep_masks(n, start, stop)
     agg = SweepAggregate()
     agg.total = total - len(regular)
     agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] = irregular
@@ -886,10 +882,12 @@ def sweep_labeled(
     """Run the full labeled-graph sweep on n vertices.
 
     The kernel scans every edge mask (exact charpoly from the bordered
-    determinant, the numeric cluster count at the fixed
-    ``DEFAULT_CLUSTER_TOL``, degree-regularity filter); only the regular
-    graphs go through the full classifier.  A cluster count that differs
-    from the exact distinct count is tallied in ``cluster_mismatches``.
+    determinant, the numeric cluster count at its fixed gap
+    ``_kernels._slow.SWEEP_CLUSTER_TOL``, degree-regularity filter); only
+    the regular graphs go through the full classifier.  The exact distinct
+    count of each charpoly is its squarefree degree
+    (``spectra._distinct_from_key``); a cluster count that differs from it
+    is tallied in ``cluster_mismatches``.
     Work is split into chunks of base graphs on n - 1 vertices, each with
     all 2^(n-1) borders, of at most ``_CHUNK_GRAPHS`` graphs.  The merged
     aggregate is independent of worker count and chunking, and

@@ -4,7 +4,9 @@ run verification sweeps, and evaluate the four-eigenvalue refuter.
 Numeric eigenvalues are split into clusters at their d - 1 widest gaps,
 with d the exact distinct-eigenvalue count; there is no tolerance to set.
 
-Exit codes: 0 clean, 2 parse/parameter error, 3 internal consistency
+Exit codes: 0 clean, 2 parse/parameter error or a file that cannot be
+read or written (one stderr line, and the output file is left as it
+was when the input fails), 3 internal consistency
 error (two computations disagree, numeric against exact spectra
 included: no gap threshold in [1e-13, 1.0] separates those clusters, or
 their sizes miss the exact multiplicities), 4 sweep assertion failure.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import NoReturn
 
 import click
 
@@ -45,30 +48,41 @@ def main() -> None:
     """Neumaier-graph taxonomy toolkit."""
 
 
-def _open_in(path: str):
-    return sys.stdin if path == "-" else open(path, "r", encoding="ascii")
+def _fail(message: str) -> NoReturn:
+    click.echo(message, err=True)
+    sys.exit(EXIT_PARSE)
 
 
 def _open_out(path: str):
-    return sys.stdout if path == "-" else open(path, "w", encoding="ascii")
+    if path == "-":
+        return sys.stdout
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _read_graphs(path: str):
     """Yield (line_number, Graph) from newline-delimited graph6; exits 2
-    naming the line on the first parse error."""
-    fh = _open_in(path)
+    when the file cannot be opened, or naming the line on the first parse
+    error.  Lines are read as bytes and decoded one character per byte,
+    so a non-ASCII byte is a graph6 error at its byte offset, from a file
+    as from stdin."""
+    try:
+        fh = sys.stdin.buffer if path == "-" else open(path, "rb")
+    except OSError as exc:
+        _fail(f"cannot read {path}: {exc.strerror or exc}")
     try:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, decode_graph6(line)
+                yield lineno, decode_graph6(line.decode("latin-1"))
             except Graph6Error as exc:
-                click.echo(f"line {lineno}: {exc}", err=True)
-                sys.exit(EXIT_PARSE)
+                _fail(f"line {lineno}: {exc}")
     finally:
-        if fh is not sys.stdin:
+        if path != "-":
             fh.close()
 
 
@@ -86,8 +100,7 @@ def _classify_record(g):
 def analyze(input, output, format, workers) -> None:
     """Classify each input graph and emit one report per line."""
     if workers < 1:
-        click.echo("workers must be >= 1", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail("workers must be >= 1")
     graphs = [g for _, g in _read_graphs(input)]
     out = _open_out(output)
     try:
@@ -164,8 +177,7 @@ def generate(family, params, output) -> None:
         g = generate_family(family, *params)
         line = encode_graph6(g)
     except (ValueError, Graph6Error) as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(str(exc))
     out = _open_out(output)
     try:
         out.write(line + "\n")
@@ -202,18 +214,15 @@ def sweep(n, input, output, format, theorems, workers) -> None:
     """Verify every selected theorem over a corpus or an exhaustive
     enumeration; exits 4 when any assertion fails."""
     if (n is None) == (input is None):
-        click.echo("provide exactly one of --n or --input", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail("provide exactly one of --n or --input")
     if workers is not None and workers < 1:
-        click.echo("workers must be >= 1", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail("workers must be >= 1")
     ids = _parse_theorems(theorems)
     exhaustive = n is not None
     try:
         if exhaustive:
             if not 1 <= n <= 8:
-                click.echo("sweep needs 1 <= n <= 8", err=True)
-                sys.exit(EXIT_PARSE)
+                _fail("sweep needs 1 <= n <= 8")
             result = sweep_labeled(n, ids, workers or default_sweep_workers())
             agg, passed = result.aggregate, result.ok()
         else:
@@ -257,8 +266,7 @@ def refute(k, theta, theta2, e, format) -> None:
     try:
         r = refute_four_eigenvalues(k, theta, theta2, e)
     except ValueError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(str(exc))
     if format == "json":
         click.echo(json.dumps(rpt.refutation_json(r), sort_keys=True))
     else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import ConsistencyError
@@ -53,12 +52,6 @@ class SrgParams:
                 raise ValueError(f"SRG counting identity fails for {self}")
 
 
-class MuTrichotomy(Enum):
-    K_GREATER = "kGreater"
-    K_EQUAL = "kEqual"
-    K_LESS = "kLess"
-
-
 @dataclass(frozen=True)
 class AvgParams:
     """Averaged parameters of a non-complete-multipartite graph."""
@@ -71,14 +64,6 @@ class AvgParams:
     ebar: float
     theta_m: float
     theta_M: float
-
-
-def degree_profile(g: Graph) -> tuple[int, int, Fraction]:
-    """(min degree, max degree, exact average degree)."""
-    if g.n == 0:
-        return (0, 0, Fraction(0))
-    degs = [row.bit_count() for row in g.adj]
-    return (min(degs), max(degs), Fraction(sum(degs), g.n))
 
 
 def is_regular(g: Graph) -> bool:
@@ -236,20 +221,3 @@ def avg_params(g: Graph) -> AvgParams:
     if abs(theta_m * theta_M - float(mubar - kbar)) > _IDENTITY_TOL:
         raise ConsistencyError("theta_m * theta_M identity fails")
     return AvgParams(v, kbar, lambdabar, mubar, sbar, ebar, theta_m, theta_M)
-
-
-def mu_trichotomy(a: AvgParams) -> MuTrichotomy:
-    """Compare kbar against theta_M; the sign must match sign(mubar), and
-    a disagreement beyond tolerance is an internal error."""
-    diff = float(a.kbar) - a.theta_M
-    if a.mubar > 0:
-        if diff <= -_IDENTITY_TOL:
-            raise ConsistencyError("mubar > 0 but kbar < theta_M")
-        return MuTrichotomy.K_GREATER
-    if a.mubar == 0:
-        if abs(diff) > _IDENTITY_TOL:
-            raise ConsistencyError("mubar = 0 but kbar != theta_M")
-        return MuTrichotomy.K_EQUAL
-    if diff >= _IDENTITY_TOL:
-        raise ConsistencyError("mubar < 0 but kbar > theta_M")
-    return MuTrichotomy.K_LESS

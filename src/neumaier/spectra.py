@@ -17,17 +17,15 @@ from functools import lru_cache
 
 from . import intpoly
 from ._kernels import charpoly_adj, jacobi_eigenvalues
-from .errors import ConsistencyError, DegenerateSpectrumError, SpectralResolutionError
-from .graphs import Graph, bits, components, is_complete_component, is_connected
+from .errors import DegenerateSpectrumError, SpectralResolutionError
+from .graphs import Graph, bits
 
-#: gap at which the labeled sweep's kernel starts a new cluster when it
-#: counts each graph's numeric eigenvalues; integer adjacency matrices at
-#: desk scale have far larger true gaps
-DEFAULT_CLUSTER_TOL = 1e-7
 #: the clusters must be separable by one gap threshold in this range:
 #: narrower cut gaps are numeric noise, wider inside gaps are real ones
 TOL_FLOOR = 1e-13
 TOL_CEIL = 1.0
+#: most a numeric eigenvalue may miss the integer root it is snapped to
+INTEGER_SNAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -81,12 +79,6 @@ class Spectrum:
 def charpoly(g: Graph) -> CharPoly:
     """Exact integer characteristic polynomial of the adjacency matrix."""
     return CharPoly(charpoly_adj(g.adj, g.n))
-
-
-def distinct_eigenvalue_count(p: CharPoly) -> int:
-    """Degree of the squarefree part p / gcd(p, p'): the exact number of
-    distinct (real) eigenvalues."""
-    return intpoly.squarefree_degree(p.low_to_high())
 
 
 def _multiplicity_multiset(p: CharPoly) -> list[int]:
@@ -156,63 +148,17 @@ def spectrum(g: Graph) -> Spectrum:
     return Spectrum(tuple(groups), len(multiplicities), p)
 
 
-def named_eigenvalues(s: Spectrum) -> tuple[float, float, float]:
-    """(theta_max, theta_max2, theta_min); rejects one-eigenvalue spectra
-    (edgeless graphs) as degenerate."""
-    if s.distinct_count < 2:
-        raise DegenerateSpectrumError(
-            "graph with a single distinct eigenvalue is edgeless"
-        )
-    return (s.theta_max, s.theta_max2, s.theta_min)
-
-
-def exact_integer_eigenvalue(p: CharPoly, x: float, tol: float = 1e-8) -> int | None:
+def exact_integer_eigenvalue(p: CharPoly, x: float) -> int | None:
     """Snap a numeric eigenvalue to an integer root of the charpoly.
 
     Monic integer polynomials have only integers as rational roots, so
     this covers every rational eigenvalue.  Returns None when x is not
-    within tol of an exact integer root.
+    within ``INTEGER_SNAP_TOL`` of an exact integer root.
     """
     r = round(x)
-    if abs(x - r) <= tol and p.eval_int(r) == 0:
+    if abs(x - r) <= INTEGER_SNAP_TOL and p.eval_int(r) == 0:
         return r
     return None
-
-
-@dataclass(frozen=True)
-class SpectralClass:
-    """Outcome of the eigenvalue-count classification."""
-
-    kind: str  # "Edgeless" | "DisjointEqualCliques" | "SRGCandidate" | "Other"
-    clique_order: int | None = None
-
-
-def classify_by_eigenvalue_count(g: Graph) -> SpectralClass:
-    """One distinct eigenvalue -> edgeless; two -> disjoint union of equal
-    complete graphs (order verified structurally); three + connected +
-    regular -> strong-regularity candidate; anything else -> Other."""
-    p = charpoly(g)
-    d = distinct_eigenvalue_count(p)
-    if d <= 1:
-        if g.edge_count() != 0:
-            raise ConsistencyError("single eigenvalue but graph has edges")
-        return SpectralClass("Edgeless")
-    if d == 2:
-        comps = components(g)
-        orders = {c.bit_count() for c in comps}
-        if len(orders) != 1 or not all(is_complete_component(g, c) for c in comps):
-            raise ConsistencyError(
-                "two distinct eigenvalues but components are not equal cliques"
-            )
-        t = orders.pop()
-        if t < 2:
-            raise ConsistencyError("two distinct eigenvalues with trivial cliques")
-        return SpectralClass("DisjointEqualCliques", t)
-    if d == 3:
-        degs = {row.bit_count() for row in g.adj}
-        if is_connected(g) and len(degs) == 1:
-            return SpectralClass("SRGCandidate")
-    return SpectralClass("Other")
 
 
 @lru_cache(maxsize=4096)

@@ -44,6 +44,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from neumaier._kernels import charpoly_adj, cluster_count, jacobi_eigenvalues
+from neumaier._kernels._slow import SWEEP_CLUSTER_TOL
 from neumaier.cliques import ExtensionReport, cliques_of_order
 from neumaier.errors import ConsistencyError, SpectralResolutionError
 from neumaier.graphs import Graph, bits, from_edge_mask, from_edges
@@ -102,13 +103,13 @@ def faddeev_leverrier_charpoly(g: Graph) -> tuple[int, ...]:
 
 
 def reference_sweep_masks(
-    n: int, masks: Iterable[int], tol: float
+    n: int, masks: Iterable[int]
 ) -> tuple[int, int, dict[tuple[int, ...], tuple[int, int, int]], list[int]]:
     """The per-mask labeled sweep scan: for each edge mask, the charpoly
-    from scratch, the eigenvalues and their cluster count at ``tol``, and
-    a degree filter.  Returns (total, irregular, stats, regular_masks)
-    like ``sweep_masks``, stats as charpoly -> (count, min, max) and the
-    regular masks ascending."""
+    from scratch, the eigenvalues and their cluster count at the kernel's
+    fixed gap ``SWEEP_CLUSTER_TOL``, and a degree filter.  Returns (total,
+    irregular, stats, regular_masks) like ``sweep_masks``, stats as
+    charpoly -> (count, min, max) and the regular masks ascending."""
     stats: dict[tuple[int, ...], list[int]] = {}
     regular = []
     total = 0
@@ -118,7 +119,7 @@ def reference_sweep_masks(
         if len({row.bit_count() for row in g.adj}) == 1:
             regular.append(mask)
         flat = [1.0 if g.has_edge(u, v) else 0.0 for u in range(n) for v in range(n)]
-        clusters = cluster_count(jacobi_eigenvalues(flat, n), tol)
+        clusters = cluster_count(jacobi_eigenvalues(flat, n), SWEEP_CLUSTER_TOL)
         entry = stats.setdefault(charpoly_adj(g.adj, n), [0, clusters, clusters])
         entry[0] += 1
         entry[1] = min(entry[1], clusters)

@@ -286,3 +286,37 @@ def test_spectral_resolution_error_exits_3(monkeypatch):
         assert res.output.splitlines() == [
             "internal consistency error: no tolerance in [1e-13, 1.0] yields 3 clusters"
         ]
+
+
+def assert_one_line_exit_2(res, message):
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [message]
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_missing_input_file_exits_2(tmp_path, command):
+    missing, out = tmp_path / "missing.g6", tmp_path / "out.json"
+    out.write_text("kept\n")
+    res = invoke([command, "--input", str(missing), "--output", str(out)])
+    assert_one_line_exit_2(res, f"cannot read {missing}: No such file or directory")
+    assert out.read_text() == "kept\n"
+
+
+def test_unwritable_output_file_exits_2(tmp_path):
+    out = tmp_path / "nodir" / "x.json"
+    res = invoke(["analyze", "--output", str(out)], input="Bw\n")
+    assert_one_line_exit_2(res, f"cannot write {out}: No such file or directory")
+    assert not out.parent.exists()
+
+
+def test_non_ascii_input_file_names_the_line(tmp_path):
+    corpus, out = tmp_path / "bad.g6", tmp_path / "out.json"
+    corpus.write_bytes(b"Bw\n\xff\n")
+    message = "line 2: header byte 255 outside [63, 126] (byte offset 0)"
+    res = invoke(["analyze", "--input", str(corpus), "--output", str(out)])
+    assert_one_line_exit_2(res, message)
+    assert not out.exists()
+    # the same bytes from stdin
+    assert_one_line_exit_2(invoke(["analyze"], input=corpus.read_bytes()), message)

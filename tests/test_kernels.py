@@ -281,7 +281,7 @@ def test_cluster_count():
 def labeled_sweep(n, start, stop):
     """``sweep_masks`` over bases [start, stop) with stats as tuples, and
     the edge masks that range covers."""
-    total, irregular, stats, regular = kernel.sweep_masks(n, start, stop, 1e-7)
+    total, irregular, stats, regular = kernel.sweep_masks(n, start, stop)
     shift = (n - 1) * (n - 2) // 2
     borders = range(1 << (n - 1))
     masks = [base | border << shift for base in range(start, stop) for border in borders]
@@ -295,7 +295,7 @@ def test_sweep_masks_matches_per_mask_scan_exhaustive_n6():
         assert sorted(masks) == list(range(1 << (n * (n - 1) // 2)))
         # keys with their counts, the cluster range per key, and the
         # brute-force degree filter
-        ref = oracles.reference_sweep_masks(n, masks, 1e-7)
+        ref = oracles.reference_sweep_masks(n, masks)
         assert (total, irregular, stats) == ref[:3]
         assert sorted(regular) == ref[3]
 
@@ -311,7 +311,7 @@ def test_sweep_masks_matches_per_mask_scan_seeded_n7_n8():
             ranges.append((start, start + width))
         for start, stop in ranges:
             (total, irregular, stats, regular), masks = labeled_sweep(n, start, stop)
-            ref = oracles.reference_sweep_masks(n, masks, 1e-7)
+            ref = oracles.reference_sweep_masks(n, masks)
             assert (total, irregular, stats) == ref[:3], (n, start)
             assert sorted(regular) == ref[3]
 
@@ -379,7 +379,7 @@ def test_sweep_border_vector_tracks_a_fresh_product(monkeypatch):
         ranges.append((n, start, start + 2))
     for n, start, stop in ranges:
         seen.clear()
-        slow.sweep_masks(n, start, stop, 1e-7)
+        slow.sweep_masks(n, start, stop)
         nb = n - 1
         gray = [i ^ i >> 1 for i in range(1 << nb)]
         borders = np.array([[float(b >> u & 1) for u in range(nb)] for b in gray])
@@ -407,9 +407,9 @@ def test_charpoly_key_lanes_hold_the_coefficient_bound():
 
 def test_sweep_masks_range_split_consistency():
     bases = 1 << 6  # n = 5
-    whole = kernel.sweep_masks(5, 0, bases, 1e-7)
-    left = kernel.sweep_masks(5, 0, 23, 1e-7)
-    right = kernel.sweep_masks(5, 23, bases, 1e-7)
+    whole = kernel.sweep_masks(5, 0, bases)
+    left = kernel.sweep_masks(5, 0, 23)
+    right = kernel.sweep_masks(5, 23, bases)
     assert whole[0] == left[0] + right[0] == 1 << 10
     assert whole[1] == left[1] + right[1]
     assert whole[3] == left[3] + right[3]
@@ -429,6 +429,6 @@ def test_sweep_masks_range_split_consistency():
 
 def test_sweep_masks_rejects_large_n():
     with pytest.raises(ValueError):
-        kernel.sweep_masks(9, 0, 10, 1e-7)
+        kernel.sweep_masks(9, 0, 10)
     with pytest.raises(ValueError):
-        kernel.sweep_masks(5, 0, 65, 1e-7)
+        kernel.sweep_masks(5, 0, 65)

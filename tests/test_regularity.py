@@ -17,13 +17,10 @@ from neumaier.graphs import (
 )
 from neumaier.regularity import (
     ErgParams,
-    MuTrichotomy,
     avg_params,
-    degree_profile,
     edge_regular_params,
     exact_clique_s,
     is_complete_multipartite,
-    mu_trichotomy,
     srg_params,
     triangle_count,
 )
@@ -36,12 +33,6 @@ def path(n):
 
 def masks(n):
     return range(1 << (n * (n - 1) // 2))
-
-
-def test_degree_profile_examples():
-    assert degree_profile(petersen()) == (3, 3, Fraction(3))
-    assert degree_profile(path(3)) == (1, 2, Fraction(4, 3))
-    assert degree_profile(from_edges(3, [])) == (0, 0, Fraction(0))
 
 
 def test_edge_regular_examples():
@@ -162,13 +153,22 @@ def test_avg_params_preconditions():
         avg_params(from_edges(5, []))
 
 
+def mu_trichotomy(a):
+    """The sign of kbar - theta_M, which the lemma says is the sign of
+    mubar (theta_M = kbar exactly when mubar = 0, up to 1e-9)."""
+    diff = float(a.kbar) - a.theta_M
+    sign = 0 if abs(diff) <= 1e-9 else 1 if diff > 0 else -1
+    assert sign == (a.mubar > 0) - (a.mubar < 0), (a, diff)
+    return sign
+
+
 def test_mu_trichotomy_examples():
-    assert mu_trichotomy(avg_params(petersen())) is MuTrichotomy.K_GREATER
-    assert mu_trichotomy(avg_params(cycle(6))) is MuTrichotomy.K_GREATER
+    assert mu_trichotomy(avg_params(petersen())) == 1
+    assert mu_trichotomy(avg_params(cycle(6))) == 1
     matching = from_edges(6, [(0, 1), (2, 3), (4, 5)])
     a = avg_params(matching)
     assert a.mubar == 0 and a.kbar == 1
-    assert mu_trichotomy(a) is MuTrichotomy.K_EQUAL
+    assert mu_trichotomy(a) == 0
 
 
 def test_mu_trichotomy_k_less():
@@ -177,7 +177,7 @@ def test_mu_trichotomy_k_less():
     g = from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     a = avg_params(g)
     assert a.mubar == Fraction(-9, 10)
-    assert mu_trichotomy(a) is MuTrichotomy.K_LESS
+    assert mu_trichotomy(a) == -1
 
 
 def test_triangle_count():
@@ -187,9 +187,11 @@ def test_triangle_count():
 
 
 def test_avg_identities_exhaustive_small():
-    # lemma guarantees + the constructor's internal identity checks over
-    # every admissible graph on <= 6 vertices
+    # lemma guarantees, the sign rule of the mu trichotomy and the
+    # constructor's internal identity checks over every admissible graph
+    # on <= 6 vertices
     checked = 0
+    signs = set()
     for n in range(3, 7):
         for m in masks(n):
             g = from_edge_mask(n, m)
@@ -199,8 +201,10 @@ def test_avg_identities_exhaustive_small():
             assert g.n > a.kbar + 1
             assert g.n + a.lambdabar - 2 * a.kbar > 0
             assert a.theta_m < 0 < a.theta_M
+            signs.add(mu_trichotomy(a))
             checked += 1
     assert checked > 30000
+    assert signs == {-1, 0, 1}
 
 
 def test_srg_averages_match_exact_parameters():

@@ -1,11 +1,10 @@
-import math
 import random
 import re
 
 import pytest
 
 import oracles
-from neumaier import spectra
+from neumaier import _kernels, spectra
 from neumaier.errors import DegenerateSpectrumError, SpectralResolutionError
 from neumaier.graphs import (
     complement,
@@ -19,14 +18,11 @@ from neumaier.graphs import (
     rook,
 )
 from neumaier.intpoly import squarefree_decomposition
-from neumaier.regularity import degree_profile, triangle_count
+from neumaier.regularity import triangle_count
 from neumaier.spectra import (
-    CharPoly,
+    _distinct_from_key,
     charpoly,
-    classify_by_eigenvalue_count,
-    distinct_eigenvalue_count,
     exact_integer_eigenvalue,
-    named_eigenvalues,
     spectrum,
 )
 
@@ -71,11 +67,24 @@ def test_charpoly_edge_and_triangle_coefficients():
 
 
 def test_distinct_counts():
-    assert distinct_eigenvalue_count(charpoly(complete(3))) == 2
-    assert distinct_eigenvalue_count(charpoly(from_edges(3, []))) == 1
-    r3 = rook(3)
-    assert distinct_eigenvalue_count(charpoly(r3)) == 3
-    assert distinct_eigenvalue_count(charpoly(r3)) == oracles.distinct_count_oracle(r3)
+    # analyze reads the distinct count off Yun's decomposition
+    # (``spectrum``), the labeled sweep off the squarefree degree of each
+    # kernel key (``_distinct_from_key``): both must agree with LAPACK on
+    # every labeled graph with n <= 5, and the kernel's keys must be these
+    # graphs' charpolys
+    for n in range(1, 6):
+        counts = {}
+        for m in masks(n):
+            g = from_edge_mask(n, m)
+            sp = spectrum(g)
+            assert sp.distinct_count == len(sp.eigs) == oracles.distinct_count_oracle(g)
+            assert _distinct_from_key(sp.charpoly.coeffs) == sp.distinct_count
+            counts[sp.charpoly.coeffs] = counts.get(sp.charpoly.coeffs, 0) + 1
+        _, _, stats, _ = _kernels.sweep_masks(n, 0, 1 << ((n - 1) * (n - 2) // 2))
+        assert {key: count for key, (count, _, _) in stats.items()} == counts
+    assert spectrum(complete(3)).distinct_count == 2
+    assert spectrum(from_edges(3, [])).distinct_count == 1
+    assert spectrum(rook(3)).distinct_count == 3
 
 
 def test_spectrum_family_examples():
@@ -106,22 +115,31 @@ def test_spectrum_matches_oracle_exhaustive_n4():
         assert sp.distinct_count == len(sp.eigs)
 
 
+def named(sp):
+    return sp.theta_max, sp.theta_max2, sp.theta_min
+
+
 def test_named_eigenvalues():
-    assert_close(named_eigenvalues(spectrum(rook(3))), (4, 1, -2))
-    assert_close(named_eigenvalues(spectrum(complete(4))), (3, -1, -1))
+    # the Spectrum properties theta_max, theta_max2 and theta_min
+    assert_close(named(spectrum(rook(3))), (4, 1, -2))
+    assert_close(named(spectrum(complete(4))), (3, -1, -1))
     # circulant closed form for C_5
     expected = oracles.cycle_eigenvalues(5)
-    got = named_eigenvalues(spectrum(cycle(5)))
-    assert_close(got, (expected[0], expected[1], expected[-1]))
+    assert_close(named(spectrum(cycle(5))), (expected[0], expected[1], expected[-1]))
 
 
 def assert_close(got, expected, tol=1e-9):
+    assert len(got) == len(expected)
     assert all(abs(a - b) <= tol for a, b in zip(got, expected))
 
 
 def test_named_eigenvalues_degenerate():
+    # an edgeless graph has one distinct eigenvalue, 0: it is both the
+    # largest and the smallest, and there is no second-largest
+    sp = spectrum(from_edges(4, []))
+    assert sp.theta_max == sp.theta_min == 0.0
     with pytest.raises(DegenerateSpectrumError):
-        named_eigenvalues(spectrum(from_edges(4, [])))
+        sp.theta_max2
 
 
 # The numeric eigenvalues are split at their d - 1 widest gaps, d the
@@ -214,16 +232,6 @@ def test_cluster_sizes_must_match_exact_multiplicities(monkeypatch):
         spectrum_from(monkeypatch, [-2.0] * 3 + [1.0] * 5 + [4.0])
 
 
-def test_classify_by_eigenvalue_count():
-    assert classify_by_eigenvalue_count(from_edges(5, [])).kind == "Edgeless"
-    two_k3 = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    res = classify_by_eigenvalue_count(two_k3)
-    assert res.kind == "DisjointEqualCliques" and res.clique_order == 3
-    assert classify_by_eigenvalue_count(petersen()).kind == "SRGCandidate"
-    assert classify_by_eigenvalue_count(from_edges(3, [(0, 1), (1, 2)])).kind == "Other"
-    assert classify_by_eigenvalue_count(complete(4)).kind == "DisjointEqualCliques"
-
-
 def test_exact_integer_eigenvalue():
     p = charpoly(rook(3))
     assert exact_integer_eigenvalue(p, -2.0000000001) == -2
@@ -238,7 +246,7 @@ def test_trace_identities_exhaustive_n4():
         g = from_edge_mask(4, m)
         sp = spectrum(g)
         v = g.n
-        kbar = float(degree_profile(g)[2])
+        kbar = 2 * g.edge_count() / v
         s1 = sum(val * mult for val, mult in sp.eigs)
         s2 = sum(val**2 * mult for val, mult in sp.eigs)
         s3 = sum(val**3 * mult for val, mult in sp.eigs)
@@ -258,7 +266,7 @@ def test_largest_eigenvalue_bound_small():
             if g.edge_count() == 0:
                 continue
             sp = spectrum(g)
-            kbar = float(degree_profile(g)[2])
+            kbar = 2 * g.edge_count() / n
             regular = len({g.degree(u) for u in range(n)}) == 1
             assert sp.theta_max >= kbar - 1e-9
             assert (abs(sp.theta_max - kbar) <= 1e-9) == regular
