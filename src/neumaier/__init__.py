@@ -5,14 +5,12 @@ for the characterization theorems relating them."""
 from ._kernels import KERNEL_KIND
 from .classify import (
     Analysis,
-    ClassReport,
     FourEvRefutation,
     LabeledSweepResult,
     LineGraphReport,
     SweepAggregate,
     Taxonomy,
     TheoremOutcome,
-    THEOREM_IDS,
     classify,
     classify_line_graph_neumaier,
     delsarte_clique_bound,

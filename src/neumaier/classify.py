@@ -1,11 +1,12 @@
 """Taxonomy classifier and theorem verifiers.
 
 ``classify`` runs the full pipeline (regularity -> edge-regularity ->
-regular-clique search -> strong-regularity -> spectrum) and records the
-outcome of every applicable characterization theorem as a checkable
-certificate.  ``sweep_verify``/``sweep_labeled`` aggregate those
-certificates over corpora and over the exhaustively enumerated labeled
-graphs on n <= 8 vertices.
+regular-clique search -> strong-regularity -> spectrum) on one
+``Analysis`` and records in it the outcome of every characterization
+theorem as a checkable certificate; it returns that ``Analysis``, whose
+lazy quantities the reports read.  ``sweep_verify``/``sweep_labeled``
+aggregate those certificates over corpora and over the exhaustively
+enumerated labeled graphs on n <= 8 vertices.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import _kernels
 from .cliques import (
-    CliqueReport,
     RegularCliques,
     extension_hypothesis_holds,
     max_clique_order,
@@ -89,7 +89,8 @@ class Analysis:
     """Per-graph analysis context: lazy, cached, immutable inputs.
 
     Everything downstream (taxonomy, verifiers, reports) pulls from one
-    context so each quantity is computed once per graph.
+    context so each quantity is computed once per graph; ``classify``
+    returns it with ``theorems`` evaluated.
     """
 
     def __init__(self, g: Graph):
@@ -216,6 +217,19 @@ class Analysis:
             raise ConsistencyError("nexus does not satisfy e = (s+1)(k-s)/(v-s-1)")
         return s, e
 
+    @property
+    def s(self) -> int | None:
+        return self.s_e[0] if self.s_e else None
+
+    @property
+    def e(self) -> int | None:
+        return self.s_e[1] if self.s_e else None
+
+    @cached_property
+    def theorems(self) -> dict[str, TheoremOutcome]:
+        """Every verifier's outcome, keyed and ordered as ``VERIFIERS``."""
+        return {tid: verify(self.graph, self) for tid, verify in VERIFIERS.items()}
+
 
 def regular_clique_orders(v: int, k: int, p: CharPoly) -> Iterator[tuple[int, int]]:
     """Every (c, e) that a regular clique of a k-regular graph on v
@@ -232,22 +246,17 @@ def regular_clique_orders(v: int, k: int, p: CharPoly) -> Iterator[tuple[int, in
             yield c, e
 
 
-@dataclass
-class ClassReport:
-    """Full taxonomy verdict plus theorem-verifier outcomes for one graph."""
-
-    graph: Graph
-    graph6: str | None
-    taxonomy: Taxonomy
-    erg: ErgParams | None
-    srg: SrgParams | None
-    s: int | None
-    e: int | None
-    avg: AvgParams | None
-    spectrum: Spectrum
-    diameter: int | float
-    regular_cliques: list[CliqueReport]
-    theorems: dict[str, TheoremOutcome]
+def _outcome(
+    ctx: Analysis, holds: bool, detail: str, equality: bool | None = None
+) -> TheoremOutcome:
+    """A verdict where the theorem applies: the graph is the witness when
+    it violates the theorem."""
+    return TheoremOutcome(
+        "holds" if holds else "violated",
+        equality=equality,
+        witness=None if holds else ctx.graph6,
+        detail=detail,
+    )
 
 
 def verify_eigenvalue_sandwich(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
@@ -283,12 +292,7 @@ def verify_eigenvalue_sandwich(g: Graph, ctx: Analysis | None = None) -> Theorem
         f"theta_min={tmin:.12g} vs theta_m={avg.theta_m:.12g}; "
         f"theta_max2={tmax2:.12g} vs theta_M={avg.theta_M:.12g}; srg={srg}"
     )
-    return TheoremOutcome(
-        "holds" if holds else "violated",
-        equality=eq_a and eq_b,
-        witness=None if holds else ctx.graph6,
-        detail=detail,
-    )
+    return _outcome(ctx, holds, detail, equality=eq_a and eq_b)
 
 
 def hoffman_clique_bound(
@@ -349,10 +353,8 @@ def verify_hoffman_equivalence(g: Graph, ctx: Analysis | None = None) -> Theorem
     bound, bound_exact = hoffman_clique_bound(g, ctx)
     maxc = ctx.max_clique_order
     if maxc > bound + EIG_EQ_TOL:
-        return TheoremOutcome(
-            "violated",
-            witness=ctx.graph6,
-            detail=f"clique of order {maxc} exceeds Hoffman bound {bound:.12g}",
+        return _outcome(
+            ctx, False, f"clique of order {maxc} exceeds Hoffman bound {bound:.12g}"
         )
     if bound_exact is not None:
         attained = bound_exact == maxc
@@ -364,12 +366,7 @@ def verify_hoffman_equivalence(g: Graph, ctx: Analysis | None = None) -> Theorem
         f"bound={bound_exact if bound_exact is not None else bound}, "
         f"max clique={maxc}, attained={attained}, NeumaierSRG={is_srg_neumaier}"
     )
-    return TheoremOutcome(
-        "holds" if holds else "violated",
-        equality=attained,
-        witness=None if holds else ctx.graph6,
-        detail=detail,
-    )
+    return _outcome(ctx, holds, detail, equality=attained)
 
 
 def verify_delsarte_equivalence(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
@@ -395,12 +392,7 @@ def verify_delsarte_equivalence(g: Graph, ctx: Analysis | None = None) -> Theore
         f"bound={bound_exact if bound_exact is not None else bound}, "
         f"max clique={maxc}, holds_delsarte={delsarte_ok}, s+1={s_e[0] + 1}"
     )
-    return TheoremOutcome(
-        "holds" if holds else "violated",
-        equality=delsarte_ok,
-        witness=None if holds else ctx.graph6,
-        detail=detail,
-    )
+    return _outcome(ctx, holds, detail, equality=delsarte_ok)
 
 
 def is_one_walk_regular(g: Graph, ctx: Analysis | None = None) -> bool:
@@ -447,10 +439,8 @@ def verify_walk_regular_theorem(g: Graph, ctx: Analysis | None = None) -> Theore
             "holds", vacuous=True, detail="hypothesis fails: no regular clique"
         )
     holds = ctx.taxonomy == Taxonomy.NEUMAIER_SRG
-    return TheoremOutcome(
-        "holds" if holds else "violated",
-        witness=None if holds else ctx.graph6,
-        detail=f"1-walk-regular with regular clique; taxonomy={ctx.taxonomy.value}",
+    return _outcome(
+        ctx, holds, f"1-walk-regular with regular clique; taxonomy={ctx.taxonomy.value}"
     )
 
 
@@ -463,11 +453,7 @@ def verify_minus_two_corollary(g: Graph, ctx: Analysis | None = None) -> Theorem
     tmin = ctx.spectrum.theta_min
     if tmin >= -2.0 - EIG_EQ_TOL:
         holds = ctx.taxonomy == Taxonomy.NEUMAIER_SRG
-        return TheoremOutcome(
-            "holds" if holds else "violated",
-            witness=None if holds else ctx.graph6,
-            detail=f"theta_min={tmin:.12g} >= -2",
-        )
+        return _outcome(ctx, holds, f"theta_min={tmin:.12g} >= -2")
     return TheoremOutcome("holds", vacuous=True, detail=f"theta_min={tmin:.12g} < -2")
 
 
@@ -477,12 +463,7 @@ def verify_no_four_eigenvalues(g: Graph, ctx: Analysis | None = None) -> Theorem
     if not ctx.is_neumaier:
         return TheoremOutcome("holds", vacuous=True, detail="not a Neumaier graph")
     d = ctx.spectrum.distinct_count
-    holds = d != 4
-    return TheoremOutcome(
-        "holds" if holds else "violated",
-        witness=None if holds else ctx.graph6,
-        detail=f"distinct eigenvalue count = {d}",
-    )
+    return _outcome(ctx, d != 4, f"distinct eigenvalue count = {d}")
 
 
 def verify_multipartite_boundary(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
@@ -494,12 +475,11 @@ def verify_multipartite_boundary(g: Graph, ctx: Analysis | None = None) -> Theor
     erg = ctx.erg
     boundary = erg.v + erg.lam - 2 * erg.k == 0
     cm = ctx.multipartite[0]
-    holds = boundary == cm
-    return TheoremOutcome(
-        "holds" if holds else "violated",
+    return _outcome(
+        ctx,
+        boundary == cm,
+        f"v+lam-2k={erg.v + erg.lam - 2 * erg.k}, multipartite={cm}",
         equality=boundary,
-        witness=None if holds else ctx.graph6,
-        detail=f"v+lam-2k={erg.v + erg.lam - 2 * erg.k}, multipartite={cm}",
     )
 
 
@@ -524,13 +504,11 @@ def verify_extension_theorem(g: Graph, ctx: Analysis | None = None) -> TheoremOu
     per_vertex = set(ext.per_vertex)
     constant = len(per_edge) == 1 and len(per_vertex) == 1
     holds = ctx.taxonomy == Taxonomy.NEUMAIER_SRG and constant
-    return TheoremOutcome(
-        "holds" if holds else "violated",
-        witness=None if holds else ctx.graph6,
-        detail=(
-            f"extension hypothesis holds; taxonomy={ctx.taxonomy.value}; "
-            f"cliques per edge {sorted(per_edge)}, per vertex {sorted(per_vertex)}"
-        ),
+    return _outcome(
+        ctx,
+        holds,
+        f"extension hypothesis holds; taxonomy={ctx.taxonomy.value}; "
+        f"cliques per edge {sorted(per_edge)}, per vertex {sorted(per_vertex)}",
     )
 
 
@@ -544,7 +522,6 @@ VERIFIERS = {
     "four": verify_no_four_eigenvalues,
     "extension": verify_extension_theorem,
 }
-THEOREM_IDS: tuple[str, ...] = tuple(VERIFIERS)
 
 #: what each verifier reports on a degree-irregular graph; the labeled
 #: sweep bulk-counts these without building reports (pinned by tests)
@@ -560,36 +537,12 @@ NOT_REGULAR_STATUS = {
 }
 
 
-def _select_theorems(theorems: Sequence[str] | None) -> tuple[str, ...]:
-    if theorems is None:
-        return THEOREM_IDS
-    bad = [t for t in theorems if t not in VERIFIERS]
-    if bad:
-        raise ValueError(f"unknown theorem id(s) {bad}; choose from {THEOREM_IDS}")
-    return tuple(theorems)
-
-
-def classify(g: Graph, theorems: Sequence[str] | None = None) -> ClassReport:
-    """Full taxonomy verdict for one graph, with every selected theorem
-    verifier's outcome recorded."""
+def classify(g: Graph) -> Analysis:
+    """Full taxonomy verdict for one graph: its ``Analysis``, with every
+    theorem verifier's outcome already in ``theorems``."""
     ctx = Analysis(g)
-    ids = _select_theorems(theorems)
-    outcomes = {tid: VERIFIERS[tid](g, ctx) for tid in ids}
-    s_e = ctx.s_e
-    return ClassReport(
-        graph=g,
-        graph6=ctx.graph6,
-        taxonomy=ctx.taxonomy,
-        erg=ctx.erg,
-        srg=ctx.srg,
-        s=s_e[0] if s_e else None,
-        e=s_e[1] if s_e else None,
-        avg=ctx.avg,
-        spectrum=ctx.spectrum,
-        diameter=ctx.diameter,
-        regular_cliques=ctx.regular_cliques,
-        theorems=outcomes,
-    )
+    ctx.theorems  # the verifiers run here, not at a report's first read
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +637,7 @@ class LineGraphReport:
     primary: str
     matches: tuple[tuple, ...]
     s: int | None
-    line_report: ClassReport
+    line_report: Analysis
 
 
 def classify_line_graph_neumaier(root: Graph) -> LineGraphReport:
@@ -771,7 +724,7 @@ class SweepAggregate:
             if outcome.witness and len(wl) < _MAX_WITNESSES:
                 wl.append(outcome.witness)
 
-    def add_report(self, rep: ClassReport, with_histogram: bool = True) -> None:
+    def add_report(self, rep: Analysis, with_histogram: bool = True) -> None:
         self.total += 1
         tax = rep.taxonomy.value
         self.taxonomy_counts[tax] = self.taxonomy_counts.get(tax, 0) + 1
@@ -821,14 +774,11 @@ class SweepAggregate:
         )
 
 
-def sweep_verify(
-    corpus: Iterable[Graph], theorems: Sequence[str] | None = None
-) -> SweepAggregate:
+def sweep_verify(corpus: Iterable[Graph]) -> SweepAggregate:
     """Classify every graph of a corpus and aggregate the verdicts."""
-    ids = _select_theorems(theorems)
     agg = SweepAggregate()
     for g in corpus:
-        agg.add_report(classify(g, ids))
+        agg.add_report(classify(g))
     return agg
 
 
@@ -857,28 +807,24 @@ _CHUNK_GRAPHS = 1 << 16
 
 
 def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int]]:
-    n, start, stop, ids = args
+    n, start, stop = args
     total, irregular, stats, regular = _kernels.sweep_masks(n, start, stop)
     agg = SweepAggregate()
     agg.total = total - len(regular)
     agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] = irregular
-    for tid in ids:
+    for tid, status in NOT_REGULAR_STATUS.items():
         st = agg._stats(tid)
-        status = NOT_REGULAR_STATUS[tid]
         if status == "skipped":
             st["skipped"] += irregular
         else:
             st["holds"] += irregular
             st["vacuous"] += irregular
     for mask in regular:
-        rep = classify(from_edge_mask(n, mask), ids)
-        agg.add_report(rep, with_histogram=False)
+        agg.add_report(classify(from_edge_mask(n, mask)), with_histogram=False)
     return agg, stats, regular
 
 
-def sweep_labeled(
-    n: int, theorems: Sequence[str] | None = None, workers: int = 1
-) -> LabeledSweepResult:
+def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     """Run the full labeled-graph sweep on n vertices.
 
     The kernel scans every edge mask (exact charpoly from the bordered
@@ -895,14 +841,13 @@ def sweep_labeled(
     """
     if not 1 <= n <= 8:
         raise ValueError("labeled sweeps support 1 <= n <= 8")
-    ids = _select_theorems(theorems)
     t0 = perf_counter()
     bases = 1 << ((n - 1) * (n - 2) // 2)
     # cap chunk size so every worker gets several chunks; chunking never
     # affects the merged aggregate, only scheduling granularity
     chunk = max(1, min(_CHUNK_GRAPHS >> (n - 1), bases // (max(workers, 1) * 8) or bases))
     ranges = [(s, min(s + chunk, bases)) for s in range(0, bases, chunk)]
-    args = [(n, a, b, ids) for a, b in ranges]
+    args = [(n, a, b) for a, b in ranges]
     agg = SweepAggregate()
     stats: dict[tuple[int, ...], list[int]] = {}
     regular_masks: list[int] = []

@@ -17,7 +17,9 @@ over the environment, which wins over defaults.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import sys
 from typing import NoReturn
 
@@ -25,7 +27,6 @@ import click
 
 from . import report as rpt
 from .classify import (
-    THEOREM_IDS,
     classify,
     default_sweep_workers,
     refute_four_eigenvalues,
@@ -58,6 +59,26 @@ def _open_out(path: str):
         return sys.stdout
     try:
         return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_out(path: str) -> None:
+    """Exit 2 as ``_open_out`` would, before a long run, when ``path``
+    cannot be written.  Nothing is created or truncated: an existing file
+    or directory is opened for writing without truncation, and a new
+    file's directory must exist and be writable.  Pipes and devices are
+    left to ``_open_out``, since opening one can block or consume it."""
+    if path == "-":
+        return
+    try:
+        if os.path.isfile(path) or os.path.isdir(path):
+            os.close(os.open(path, os.O_WRONLY))
+        elif not os.path.lexists(path):
+            parent = os.path.dirname(path) or "."
+            os.stat(os.path.join(parent, ""))  # a missing directory, or a file
+            if not os.access(parent, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
     except OSError as exc:
         _fail(f"cannot write {path}: {exc.strerror or exc}")
 
@@ -186,18 +207,6 @@ def generate(family, params, output) -> None:
             out.close()
 
 
-def _parse_theorems(text: str | None):
-    if not text:
-        return None
-    ids = tuple(t.strip() for t in text.split(",") if t.strip())
-    bad = [t for t in ids if t not in THEOREM_IDS]
-    if bad:
-        raise click.BadParameter(
-            f"unknown theorem id(s) {bad}; choose from {', '.join(THEOREM_IDS)}"
-        )
-    return ids
-
-
 @main.command()
 @click.option("--n", "n", type=int, default=None,
               help="exhaustive sweep over all labeled graphs on n vertices (n <= 8)")
@@ -206,27 +215,25 @@ def _parse_theorems(text: str | None):
 @click.option("--output", "output", default="-", show_default=True)
 @click.option("--format", "format", default="human",
               type=click.Choice(["json", "csv", "human"]), show_default=True)
-@click.option("--theorems", default=None,
-              help=f"comma-separated subset of: {', '.join(THEOREM_IDS)}")
 @click.option("--workers", default=None, type=int,
               help="worker processes for exhaustive sweeps [default: cpu-bound]")
-def sweep(n, input, output, format, theorems, workers) -> None:
-    """Verify every selected theorem over a corpus or an exhaustive
-    enumeration; exits 4 when any assertion fails."""
+def sweep(n, input, output, format, workers) -> None:
+    """Verify every theorem over a corpus or an exhaustive enumeration;
+    exits 4 when any assertion fails."""
     if (n is None) == (input is None):
         _fail("provide exactly one of --n or --input")
     if workers is not None and workers < 1:
         _fail("workers must be >= 1")
-    ids = _parse_theorems(theorems)
     exhaustive = n is not None
+    _check_out(output)
     try:
         if exhaustive:
             if not 1 <= n <= 8:
                 _fail("sweep needs 1 <= n <= 8")
-            result = sweep_labeled(n, ids, workers or default_sweep_workers())
+            result = sweep_labeled(n, workers or default_sweep_workers())
             agg, passed = result.aggregate, result.ok()
         else:
-            agg = sweep_verify((g for _, g in _read_graphs(input)), ids)
+            agg = sweep_verify(g for _, g in _read_graphs(input))
             passed = agg.ok()
     except INTERNAL_ERRORS as exc:
         click.echo(f"internal consistency error: {exc}", err=True)

@@ -12,7 +12,7 @@ import math
 from typing import Any
 
 from .classify import (
-    ClassReport,
+    Analysis,
     FourEvRefutation,
     SweepAggregate,
     TheoremOutcome,
@@ -44,7 +44,7 @@ def clique_json(report: CliqueReport) -> dict[str, Any]:
     }
 
 
-def params_json(rep: ClassReport) -> dict[str, Any]:
+def params_json(rep: Analysis) -> dict[str, Any]:
     out: dict[str, Any] = {"v": rep.graph.n}
     if rep.erg is not None:
         out["k"] = rep.erg.k
@@ -83,7 +83,7 @@ def outcome_json(o: TheoremOutcome) -> dict[str, Any]:
     return out
 
 
-def class_report_json(rep: ClassReport) -> dict[str, Any]:
+def class_report_json(rep: Analysis) -> dict[str, Any]:
     return {
         "graph6": rep.graph6,
         "n": rep.graph.n,

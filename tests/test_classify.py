@@ -8,6 +8,7 @@ import pytest
 import oracles
 from neumaier.classify import (
     NOT_REGULAR_STATUS,
+    Analysis,
     Taxonomy,
     classify,
     classify_line_graph_neumaier,
@@ -295,12 +296,7 @@ def test_line_graph_classification():
 def test_line_graph_family_must_fit_the_parameters(monkeypatch):
     # the root says rook(3); a classifier that reported s = 3 would
     # contradict the family's closed form (v, k, s) = (9, 4, 2)
-    import dataclasses
-    import importlib
-
-    module = importlib.import_module("neumaier.classify")  # the package rebinds the name
-    real = module.classify
-    monkeypatch.setattr(module, "classify", lambda g: dataclasses.replace(real(g), s=3))
+    monkeypatch.setattr(Analysis, "s", 3)
     with pytest.raises(ConsistencyError):
         classify_line_graph_neumaier(complete_multipartite(2, 3))
 
@@ -488,16 +484,20 @@ def test_sweep_verify_strictly_neumaier_cayley_z2z8():
 
 
 def test_sweep_labeled_matches_generic_sweep_n4():
-    # the kernel-accelerated exhaustive path must agree with plain
-    # classify-per-graph aggregation
-    graphs = [from_edge_mask(4, m) for m in range(64)]
-    slow = sweep_verify(graphs)
-    fast = sweep_labeled(4).aggregate
-    assert fast.total == slow.total == 64
-    assert fast.taxonomy_counts == slow.taxonomy_counts
-    assert fast.theorem_stats == slow.theorem_stats
-    assert fast.distinct_histogram == slow.distinct_histogram
-    assert fast.violations == slow.violations
+    # the kernel-accelerated exhaustive path, which bulk-counts irregular
+    # graphs from NOT_REGULAR_STATUS, must agree with plain
+    # classify-per-graph aggregation; n = 5 adds irregular shapes n = 4
+    # lacks, such as K_3 beside K_2 (disconnected, no isolated vertex)
+    # and C_4 beside an isolated vertex
+    for n in (4, 5):
+        graphs = [from_edge_mask(n, m) for m in range(1 << n * (n - 1) // 2)]
+        slow = sweep_verify(graphs)
+        fast = sweep_labeled(n).aggregate
+        assert fast.total == slow.total == len(graphs)
+        assert fast.taxonomy_counts == slow.taxonomy_counts
+        assert fast.theorem_stats == slow.theorem_stats
+        assert fast.distinct_histogram == slow.distinct_histogram
+        assert fast.violations == slow.violations
 
 
 def test_sweep_labeled_worker_independence():
@@ -508,13 +508,6 @@ def test_sweep_labeled_worker_independence():
         assert aggregate_json(a.aggregate, a.ok()) == aggregate_json(b.aggregate, b.ok())
         assert a.charpoly_stats == b.charpoly_stats
         assert a.regular_masks == b.regular_masks == sorted(a.regular_masks)
-
-
-def test_theorem_selection():
-    agg = sweep_labeled(4, theorems=("sandwich", "four")).aggregate
-    assert set(agg.theorem_stats) == {"sandwich", "four"}
-    with pytest.raises(ValueError):
-        sweep_labeled(4, theorems=("nope",))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Static checks on the package source, standing in for a linter."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "neumaier"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "neumaier"
 # the __init__ modules import names only to re-export them
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
@@ -42,3 +44,35 @@ def test_unused_import_check_sees_every_import_form():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["line 3: j", "line 4: D", "line 7: H"]
+
+
+def module_constant(path: Path, name: str):
+    """The literal value assigned to ``name`` at the top of a module, read
+    without importing it."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def test_benchmark_tracer_finds_its_names():
+    # perfbench/tracing.py wraps these names by lookup; a rename would pass
+    # every other test and crash the traced benchmark run
+    tracing = ROOT / "perfbench" / "tracing.py"
+    looked_up = [(module, name) for module, name, _ in module_constant(tracing, "SPANS")]
+    looked_up += [
+        ("neumaier._kernels", "cluster_count"),
+        ("neumaier.intpoly", "gcd_int"),
+        ("neumaier.spectra", "spectrum"),
+        ("neumaier.cliques", "regular_cliques"),
+        ("neumaier.cliques", "maximal_cliques"),
+        ("neumaier.cliques", "cliques_of_order"),
+        ("neumaier.cli", "json"),
+    ]
+    for module, name in looked_up:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    verifiers = importlib.import_module("neumaier.classify").VERIFIERS
+    theorems = module_constant(ROOT / "perfbench" / "oracle.py", "THEOREMS")
+    assert sorted(verifiers) == sorted(theorems)
