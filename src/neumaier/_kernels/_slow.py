@@ -35,6 +35,7 @@ from operator import add, mul, sub
 from typing import Iterator
 
 from ..errors import SpectralResolutionError
+from ..graphs import from_edge_mask
 
 KERNEL_KIND = "python"
 
@@ -301,7 +302,7 @@ def _implicit_ql(
             )
 
 
-def _base_eigensystem(adj: list[int], nb: int) -> tuple[list[float], list[tuple[float, ...]]]:
+def _base_eigensystem(adj: tuple[int, ...], nb: int) -> tuple[list[float], list[tuple[float, ...]]]:
     """Eigenvalues lam and orthogonal V with A = V diag(lam) V^T, for the
     0/1 adjacency matrix of the nb-vertex graph given as neighbour
     bitsets: Householder and implicit QL with the reflectors and rotations
@@ -463,8 +464,9 @@ def sweep_masks(
     (graph6) order: by j, then by i.  The pairs of vertex n-1 therefore
     come last, so a mask is base | border << (n-1)(n-2)/2, with the
     base an (n-1)-vertex graph G and the border S the neighbourhood of
-    vertex n-1.  Per base, φ_G and the packed adjugate P of xI - A are
-    computed once, then the 2^(n-1) borders are walked in Gray-code order.
+    vertex n-1.  Each base is decoded once, by ``graphs.from_edge_mask``
+    on n - 1 vertices.  Per base, φ_G and the packed adjugate P of xI - A
+    are computed once, then the 2^(n-1) borders are walked in Gray-code order.
     With s the indicator of S, the bordered (Schur complement) determinant
     is det(xI - A') = x φ_G(x) - s^T adj(xI - A) s.  Per flip of vertex u
     the kernel keeps T_v = sum_{i in S} P_iv (n - 1 additions) and
@@ -505,7 +507,6 @@ def sweep_masks(
     if not 0 <= start <= stop <= 1 << shift:
         raise ValueError(f"base range [{start}, {stop}) outside [0, {1 << shift})")
     w = _lane_bits(n)
-    pairs = [(i, j) for j in range(1, nb) for i in range(j)]
     # walk[i] = (border i in Gray order, vertex flipped next, +1 add / -1 remove / 0 last)
     walk = []
     for i in range(1 << nb):
@@ -517,16 +518,9 @@ def sweep_masks(
     stats: dict[int, list[int]] = {}
     regular: list[int] = []
     for base in range(start, stop):
-        adj = [0] * nb
-        m = base
-        while m:
-            low = m & -m
-            i, j = pairs[low.bit_length() - 1]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            m ^= low
+        adj = from_edge_mask(nb, base).adj
         nbrs = [[v for v in range(nb) if a >> v & 1] for a in adj]
-        c = charpoly_adj(tuple(adj), nb)
+        c = charpoly_adj(adj, nb)
         adjugate = _adjugate(nbrs, c, w)
         x_phi = _pack(c, w)
         lam, v_rows = _base_eigensystem(adj, nb)

@@ -33,6 +33,7 @@ from .graphs import (
     bits,
     encode_graph6,
     from_edge_mask,
+    from_edges,
     is_complete,
     is_connected,
     line_graph,
@@ -523,19 +524,6 @@ VERIFIERS = {
     "extension": verify_extension_theorem,
 }
 
-#: what each verifier reports on a degree-irregular graph; the labeled
-#: sweep bulk-counts these without building reports (pinned by tests)
-NOT_REGULAR_STATUS = {
-    "lem1": "skipped",
-    "sandwich": "skipped",
-    "hoffman": "skipped",
-    "delsarte": "skipped",
-    "walk": "holds-vacuous",
-    "minus2": "skipped",
-    "four": "holds-vacuous",
-    "extension": "skipped",
-}
-
 
 def classify(g: Graph) -> Analysis:
     """Full taxonomy verdict for one graph: its ``Analysis``, with every
@@ -714,31 +702,35 @@ class SweepAggregate:
             tid, {"holds": 0, "vacuous": 0, "violated": 0, "skipped": 0}
         )
 
-    def record_outcome(self, tid: str, outcome: TheoremOutcome) -> None:
+    def record_outcome(self, tid: str, outcome: TheoremOutcome, count: int = 1) -> None:
         st = self._stats(tid)
-        st[outcome.status] += 1
+        st[outcome.status] += count
         if outcome.vacuous:
-            st["vacuous"] += 1
+            st["vacuous"] += count
         if outcome.status == "violated":
             wl = self.violations.setdefault(tid, [])
             if outcome.witness and len(wl) < _MAX_WITNESSES:
                 wl.append(outcome.witness)
 
-    def add_report(self, rep: Analysis, with_histogram: bool = True) -> None:
-        self.total += 1
+    def add_report(
+        self, rep: Analysis, with_histogram: bool = True, count: int = 1
+    ) -> None:
+        """Add the verdicts of ``count`` graphs that all classify as ``rep``
+        (the labeled sweep adds its irregular graphs at once this way)."""
+        self.total += count
         tax = rep.taxonomy.value
-        self.taxonomy_counts[tax] = self.taxonomy_counts.get(tax, 0) + 1
+        self.taxonomy_counts[tax] = self.taxonomy_counts.get(tax, 0) + count
         if with_histogram:
             d = rep.spectrum.distinct_count
-            self.distinct_histogram[d] = self.distinct_histogram.get(d, 0) + 1
+            self.distinct_histogram[d] = self.distinct_histogram.get(d, 0) + count
         for tid, outcome in rep.theorems.items():
-            self.record_outcome(tid, outcome)
+            self.record_outcome(tid, outcome, count)
         if rep.taxonomy in NEUMAIER_TAXA:
             if rep.spectrum.distinct_count == 4:
-                self.neumaier_four_count += 1
+                self.neumaier_four_count += count
         if rep.taxonomy == Taxonomy.STRICTLY_NEUMAIER:
-            self.strictly_neumaier.append(
-                (rep.graph6 or "<n>62>", rep.spectrum.distinct_count)
+            self.strictly_neumaier.extend(
+                [(rep.graph6 or "<n>62>", rep.spectrum.distinct_count)] * count
             )
 
     def merge(self, other: "SweepAggregate") -> None:
@@ -807,18 +799,19 @@ _CHUNK_GRAPHS = 1 << 16
 
 
 def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int]]:
+    """Aggregate the graphs of one base range.  The verifiers answer every
+    degree-irregular graph alike, so one irregular graph, K_2 beside n - 2
+    isolated vertices, is classified and added once for all of them; each
+    regular graph is classified on its own."""
     n, start, stop = args
-    total, irregular, stats, regular = _kernels.sweep_masks(n, start, stop)
+    _, irregular, stats, regular = _kernels.sweep_masks(n, start, stop)
     agg = SweepAggregate()
-    agg.total = total - len(regular)
-    agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] = irregular
-    for tid, status in NOT_REGULAR_STATUS.items():
-        st = agg._stats(tid)
-        if status == "skipped":
-            st["skipped"] += irregular
-        else:
-            st["holds"] += irregular
-            st["vacuous"] += irregular
+    # the bucket is reported even at n <= 2, where no graph is irregular
+    agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] = 0
+    if irregular:
+        agg.add_report(
+            classify(from_edges(n, [(0, 1)])), with_histogram=False, count=irregular
+        )
     for mask in regular:
         agg.add_report(classify(from_edge_mask(n, mask)), with_histogram=False)
     return agg, stats, regular
@@ -829,11 +822,12 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
 
     The kernel scans every edge mask (exact charpoly from the bordered
     determinant, the numeric cluster count at its fixed gap
-    ``_kernels._slow.SWEEP_CLUSTER_TOL``, degree-regularity filter); only
-    the regular graphs go through the full classifier.  The exact distinct
-    count of each charpoly is its squarefree degree
-    (``spectra._distinct_from_key``); a cluster count that differs from it
-    is tallied in ``cluster_mismatches``.
+    ``_kernels._slow.SWEEP_CLUSTER_TOL``, degree-regularity filter).  Each
+    regular graph goes through the full classifier; the irregular graphs
+    all take the verdicts of one representative, K_2 beside n - 2 isolated
+    vertices.  The exact distinct count of each charpoly is its squarefree
+    degree (``spectra._distinct_from_key``); a cluster count that differs
+    from it is tallied in ``cluster_mismatches``.
     Work is split into chunks of base graphs on n - 1 vertices, each with
     all 2^(n-1) borders, of at most ``_CHUNK_GRAPHS`` graphs.  The merged
     aggregate is independent of worker count and chunking, and

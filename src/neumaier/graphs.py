@@ -21,8 +21,9 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import Graph6Error
 
-#: Hard cap on vertex count; a guard against accidentally huge inputs,
-#: not a format limit (graph6 itself stops at 62 here).
+#: Hard cap on vertex count, checked by every constructor before it
+#: allocates; a guard against accidentally huge inputs, not a format
+#: limit (graph6 itself stops at 62 here).
 MAX_VERTICES = 512
 
 _G6_MAX = 62  # short-form graph6 header only
@@ -72,10 +73,14 @@ class Graph:
                 yield (u, u + 1 + v)
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from an edge list; rejects loops and bad indices."""
+def _check_order(n: int) -> None:
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a graph from an edge list; rejects loops and bad indices."""
+    _check_order(n)
     adj = [0] * n
     for u, v in edges:
         if u == v:
@@ -180,6 +185,7 @@ def encode_graph6(g: Graph) -> str:
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << u) for u in range(n)))
 
@@ -187,6 +193,7 @@ def complete(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    _check_order(n)
     return from_edges(n, [(u, (u + 1) % n) for u in range(n)])
 
 
@@ -196,61 +203,34 @@ def complete_multipartite(parts: int, size: int) -> Graph:
     if parts < 2 or size < 1:
         raise ValueError("complete multipartite needs parts >= 2, size >= 1")
     n = parts * size
+    _check_order(n)
     full = (1 << n) - 1
     part_mask = [((1 << size) - 1) << (p * size) for p in range(parts)]
     return Graph(n, tuple(full ^ part_mask[u // size] for u in range(n)))
 
 
 def rook(side: int) -> Graph:
-    """side x side rook graph: vertices are grid cells, adjacency is same
-    row or same column.  Equals the line graph of K_{side,side}."""
+    """side x side rook graph, the line graph of K_{side,side}: vertex
+    r * side + c is the edge (r, side + c), adjacency = same row or same
+    column."""
     if side < 2:
         raise ValueError("rook graph needs side >= 2")
-    n = side * side
-    adj = [0] * n
-    for r in range(side):
-        for c in range(side):
-            u = r * side + c
-            row_mask = ((1 << side) - 1) << (r * side)
-            col_mask = sum(1 << (rr * side + c) for rr in range(side))
-            adj[u] = (row_mask | col_mask) ^ (1 << u)
-    return Graph(n, tuple(adj))
-
-
-def _two_subsets(n: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return line_graph(complete_multipartite(2, side))
 
 
 def johnson2(n: int) -> Graph:
-    """Johnson graph J(n,2): vertices are 2-subsets of an n-set, adjacent
-    iff the subsets intersect (the triangular graph T(n))."""
+    """Johnson graph J(n,2), the line graph of K_n (the triangular graph
+    T(n)): vertices are the 2-subsets of an n-set in lexicographic order,
+    adjacent iff they intersect."""
     if n < 4:
         raise ValueError("Johnson graph J(n,2) needs n >= 4")
-    pairs = _two_subsets(n)
-    return from_edges(
-        len(pairs),
-        [
-            (i, j)
-            for i in range(len(pairs))
-            for j in range(i + 1, len(pairs))
-            if len(set(pairs[i]) & set(pairs[j])) == 1
-        ],
-    )
+    return line_graph(complete(n))
 
 
 def petersen() -> Graph:
-    """Kneser-style Petersen graph: 2-subsets of a 5-set, adjacent iff
-    disjoint."""
-    pairs = _two_subsets(5)
-    return from_edges(
-        len(pairs),
-        [
-            (i, j)
-            for i in range(len(pairs))
-            for j in range(i + 1, len(pairs))
-            if not set(pairs[i]) & set(pairs[j])
-        ],
-    )
+    """Kneser-style Petersen graph, the complement of J(5,2): 2-subsets of
+    a 5-set, adjacent iff disjoint."""
+    return complement(johnson2(5))
 
 
 #: name -> (constructor, number of int parameters); the CLI surface.
@@ -289,10 +269,11 @@ def complement(g: Graph) -> Graph:
 def line_graph(g: Graph) -> Graph:
     """Line graph: vertices are the edges of g in lexicographic (u,v)
     order, adjacency = sharing an endpoint."""
-    edges = list(g.edges())
-    if not edges:
+    m = g.edge_count()
+    if not m:
         raise ValueError("line graph of an edgeless graph is undefined here")
-    m = len(edges)
+    _check_order(m)
+    edges = list(g.edges())
     adj = [0] * m
     incident: dict[int, list[int]] = {}
     for idx, (u, v) in enumerate(edges):

@@ -27,7 +27,9 @@ inputs.
 
 Three closed forms that only tests called stay here as references: the
 outside-adjacency counts of a clique, and the float clique-bound root s
-and nexus e of edge-regular parameters.
+and nexus e of edge-regular parameters.  Three more pin the labels of the
+families the package builds as line graphs and complements: the rook
+graph on grid cells, J(n,2) and the Petersen graph on 2-subsets.
 
 The eight strictly Neumaier Cayley graphs of Z2 x Z8 are found here by
 search over connection sets, so the spectra and classify tests share
@@ -385,6 +387,36 @@ def brute_cliques_of_order(g: Graph, t: int) -> set[frozenset[int]]:
         if all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
             out.add(frozenset(combo))
     return out
+
+
+def rook_closed_form(side: int) -> Graph:
+    """Cell r * side + c is adjacent to the other cells of row r and of
+    column c."""
+    cells = list(itertools.product(range(side), repeat=2))
+    return from_edges(len(cells), [
+        (a, b) for a, b in itertools.combinations(range(len(cells)), 2)
+        if cells[a][0] == cells[b][0] or cells[a][1] == cells[b][1]
+    ])
+
+
+def _two_subset_graph(n: int, adjacent) -> Graph:
+    """The 2-subsets of range(n) in lexicographic order, joined when
+    ``adjacent(p, q)``."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return from_edges(len(pairs), [
+        (a, b) for a, b in itertools.combinations(range(len(pairs)), 2)
+        if adjacent(set(pairs[a]), set(pairs[b]))
+    ])
+
+
+def johnson2_closed_form(n: int) -> Graph:
+    """J(n,2): 2-subsets are adjacent when they meet."""
+    return _two_subset_graph(n, lambda p, q: len(p & q) == 1)
+
+
+def petersen_closed_form() -> Graph:
+    """Petersen graph: 2-subsets of a 5-set are adjacent when disjoint."""
+    return _two_subset_graph(5, lambda p, q: not p & q)
 
 
 def cycle_eigenvalues(n: int) -> list[float]:

@@ -6,9 +6,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-import oracles
 from neumaier.classify import (
     Analysis,
     Taxonomy,

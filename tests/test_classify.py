@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from neumaier.classify import (
-    NOT_REGULAR_STATUS,
     Analysis,
     Taxonomy,
     classify,
@@ -60,16 +59,24 @@ def test_classify_examples():
     assert classify(from_edges(4, [])).taxonomy is Taxonomy.REGULAR_NOT_EDGE_REGULAR
 
 
-def test_not_regular_outcomes_pin_fast_path():
-    # the labeled sweep bulk-counts irregular graphs with these statuses;
-    # this pins them to what classify actually produces
-    rep = classify(path(3))
-    for tid, expected in NOT_REGULAR_STATUS.items():
-        outcome = rep.theorems[tid]
-        if expected == "skipped":
-            assert outcome.status == "skipped"
-        else:
-            assert outcome.status == "holds" and outcome.vacuous
+def test_irregular_graphs_share_one_verdict():
+    # the labeled sweep adds every degree-irregular graph with the verdicts
+    # of K_2 beside n - 2 isolated vertices; the aggregate counts each
+    # theorem's status and vacuity, so those must agree on every such graph
+    def verdicts(rep):
+        return {tid: (o.status, o.vacuous) for tid, o in rep.theorems.items()}
+
+    checked = 0
+    for n in range(3, 7):
+        rep = classify(from_edges(n, [(0, 1)]))
+        assert rep.taxonomy is Taxonomy.NOT_REGULAR
+        expected = verdicts(rep)
+        for m in range(1 << n * (n - 1) // 2):
+            g = from_edge_mask(n, m)
+            if len({g.degree(u) for u in range(n)}) > 1:
+                assert verdicts(classify(g)) == expected, (n, m)
+                checked += 1
+    assert checked == 33668
 
 
 def test_neumaier_taxonomy_soundness_families():
@@ -381,8 +388,6 @@ def test_quotient_eigenvalues_in_spectrum():
 def test_neumaier_members_have_diameter_two():
     # every Neumaier graph seen at desk scale (sweeps and families) has
     # diameter 2; nothing is asserted about diameter in general
-    from neumaier.graphs import diameter, from_edge_mask
-
     for n in range(4, 7):
         res = sweep_labeled(n)
         for mask in res.regular_masks:
@@ -484,8 +489,8 @@ def test_sweep_verify_strictly_neumaier_cayley_z2z8():
 
 
 def test_sweep_labeled_matches_generic_sweep_n4():
-    # the kernel-accelerated exhaustive path, which bulk-counts irregular
-    # graphs from NOT_REGULAR_STATUS, must agree with plain
+    # the kernel-accelerated exhaustive path, which adds all irregular
+    # graphs with the verdicts of one representative, must agree with plain
     # classify-per-graph aggregation; n = 5 adds irregular shapes n = 4
     # lacks, such as K_3 beside K_2 (disconnected, no isolated vertex)
     # and C_4 beside an isolated vertex
@@ -498,6 +503,10 @@ def test_sweep_labeled_matches_generic_sweep_n4():
         assert fast.theorem_stats == slow.theorem_stats
         assert fast.distinct_histogram == slow.distinct_histogram
         assert fast.violations == slow.violations
+    # no graph on n <= 2 vertices is irregular; the sweep still reports the
+    # empty bucket
+    for n in (1, 2):
+        assert sweep_labeled(n).aggregate.taxonomy_counts[Taxonomy.NOT_REGULAR.value] == 0
 
 
 def test_sweep_labeled_worker_independence():

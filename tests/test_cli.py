@@ -148,6 +148,9 @@ def test_generate_bad_parameters():
     assert invoke(["generate", "rook", "1"]).exit_code == 2
     assert invoke(["generate", "rook"]).exit_code == 2
     assert invoke(["generate", "nosuch", "3"]).exit_code != 0
+    res = invoke(["generate", "complete", "513"])
+    assert res.exit_code == 2
+    assert "vertex count 513 outside [0, 512]" in res.output
 
 
 def test_sweep_exhaustive_n4():

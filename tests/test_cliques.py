@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -13,7 +12,6 @@ from neumaier.cliques import (
     regular_cliques,
 )
 from neumaier.graphs import (
-    bits,
     complete,
     complement,
     complete_multipartite,

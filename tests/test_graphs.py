@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import oracles
 from neumaier.errors import Graph6Error
 from neumaier.graphs import (
-    Graph,
     complement,
     complete,
     complete_multipartite,
@@ -116,6 +115,7 @@ def test_rook_structure():
     # rook(side) is the line graph of K_{side,side}, labels included
     for side in range(2, 9):
         assert line_graph(complete_multipartite(2, side)) == rook(side)
+        assert oracles.rook_closed_form(side) == rook(side)
 
 
 def test_johnson_octahedron():
@@ -153,6 +153,12 @@ def test_family_parameter_errors():
                 lambda: cycle(2), lambda: complete(0)]:
         with pytest.raises(ValueError):
             bad()
+    # just above the 512-vertex cap; each one builds if its check is missing
+    for bad, n in [(lambda: complete(513), 513),
+                   (lambda: complete_multipartite(2, 257), 514),
+                   (lambda: rook(23), 529), (lambda: johnson2(33), 528)]:
+        with pytest.raises(ValueError, match=rf"^vertex count {n} outside \[0, 512\]$"):
+            bad()
     with pytest.raises(ValueError):
         generate("nosuch", 3)
     with pytest.raises(ValueError):
@@ -173,6 +179,7 @@ def test_complement_examples():
     c5 = cycle(5)
     assert oracles.perm_isomorphic(complement(c5), c5)
     assert complement(petersen()) == johnson2(5)
+    assert oracles.petersen_closed_form() == petersen()
 
 
 def test_complement_involution_small():
@@ -187,6 +194,7 @@ def test_line_graph_examples():
     # J(m,2) is the line graph of K_m, labels included
     for m in range(4, 12):
         assert line_graph(complete(m)) == johnson2(m)
+        assert oracles.johnson2_closed_form(m) == johnson2(m)
     assert line_graph(complete(3)) == complete(3)
     with pytest.raises(ValueError):
         line_graph(from_edges(3, []))

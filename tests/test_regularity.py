@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from neumaier.errors import ConsistencyError
 from neumaier.graphs import (
     complete,
     complete_multipartite,
