@@ -4,9 +4,11 @@
 regular-clique search -> strong-regularity -> spectrum) on one
 ``Analysis`` and records in it the outcome of every characterization
 theorem as a checkable certificate; it returns that ``Analysis``, whose
-lazy quantities the reports read.  ``sweep_verify``/``sweep_labeled``
-aggregate those certificates over corpora and over the exhaustively
-enumerated labeled graphs on n <= 8 vertices.
+lazy quantities the reports read.  The verifiers, both clique bounds and
+``is_one_walk_regular`` take that ``Analysis`` alone.
+``sweep_verify``/``sweep_labeled`` aggregate those certificates over
+corpora and over the exhaustively enumerated labeled graphs on n <= 8
+vertices.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ class Analysis:
     """Per-graph analysis context: lazy, cached, immutable inputs.
 
     Everything downstream (taxonomy, verifiers, reports) pulls from one
-    context so each quantity is computed once per graph; ``classify``
-    returns it with ``theorems`` evaluated.
+    context so each quantity is computed once per graph; the verifiers
+    take it as their only argument, and ``classify`` returns it with
+    ``theorems`` evaluated.
     """
 
     def __init__(self, g: Graph):
@@ -229,7 +232,7 @@ class Analysis:
     @cached_property
     def theorems(self) -> dict[str, TheoremOutcome]:
         """Every verifier's outcome, keyed and ordered as ``VERIFIERS``."""
-        return {tid: verify(self.graph, self) for tid, verify in VERIFIERS.items()}
+        return {tid: verify(self) for tid, verify in VERIFIERS.items()}
 
 
 def regular_clique_orders(v: int, k: int, p: CharPoly) -> Iterator[tuple[int, int]]:
@@ -260,13 +263,12 @@ def _outcome(
     )
 
 
-def verify_eigenvalue_sandwich(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
+def verify_eigenvalue_sandwich(ctx: Analysis) -> TheoremOutcome:
     """theta_min <= theta_m and theta_max2 >= theta_M for connected
     regular non-complete-multipartite graphs, with equality (both, within
     1e-8) exactly on strongly regular graphs and a strict margin of 1e-9
     otherwise."""
-    ctx = ctx or Analysis(g)
-    if g.n == 0 or not ctx.is_connected:
+    if ctx.graph.n == 0 or not ctx.is_connected:
         return TheoremOutcome("skipped", detail="graph is disconnected or empty")
     if not ctx.is_regular:
         return TheoremOutcome("skipped", detail="graph is not regular")
@@ -296,19 +298,17 @@ def verify_eigenvalue_sandwich(g: Graph, ctx: Analysis | None = None) -> Theorem
     return _outcome(ctx, holds, detail, equality=eq_a and eq_b)
 
 
-def hoffman_clique_bound(
-    g: Graph, ctx: Analysis | None = None
-) -> tuple[float, Fraction | None]:
-    """Hoffman coclique bound of the complement, which caps cliques of g:
+def hoffman_clique_bound(ctx: Analysis) -> tuple[float, Fraction | None]:
+    """Hoffman coclique bound of the complement, which caps the cliques:
     v / (1 + (v-k-1)/(theta_max2+1)), using -theta_Cmin = theta_max2 + 1.
 
     Returns (float value, exact Fraction when theta_max2 is a verified
     integer root of the charpoly, else None).  Requires a connected,
     non-complete, regular graph.
     """
-    ctx = ctx or Analysis(g)
     if not ctx.is_connected or ctx.is_complete or not ctx.is_regular:
         raise ValueError("Hoffman bound needs a connected non-complete regular graph")
+    g = ctx.graph
     v, k = g.n, g.adj[0].bit_count()
     sp = ctx.spectrum
     tmax2 = sp.theta_max2
@@ -321,13 +321,11 @@ def hoffman_clique_bound(
     return v / (1.0 + (v - k - 1) / (tmax2 + 1.0)), None
 
 
-def delsarte_clique_bound(
-    g: Graph, ctx: Analysis | None = None
-) -> tuple[float, Fraction | None]:
+def delsarte_clique_bound(ctx: Analysis) -> tuple[float, Fraction | None]:
     """Delsarte clique bound 1 - k/theta_min for a regular graph with at
     least one edge; exact Fraction when theta_min is a verified integer
     root of the charpoly."""
-    ctx = ctx or Analysis(g)
+    g = ctx.graph
     if not ctx.is_regular or g.edge_count() == 0:
         raise ValueError("Delsarte bound needs a regular graph with an edge")
     k = g.adj[0].bit_count()
@@ -340,18 +338,17 @@ def delsarte_clique_bound(
     return 1.0 - k / tmin, None
 
 
-def verify_hoffman_equivalence(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
+def verify_hoffman_equivalence(ctx: Analysis) -> TheoremOutcome:
     """A connected non-complete edge-regular graph has a clique attaining
     the complement's Hoffman coclique bound v/(1+(v-k-1)/(theta_max2+1))
     iff it is a strongly regular Neumaier graph."""
-    ctx = ctx or Analysis(g)
-    if g.n == 0 or not ctx.is_connected:
+    if ctx.graph.n == 0 or not ctx.is_connected:
         return TheoremOutcome("skipped", detail="graph is disconnected or empty")
     if ctx.is_complete:
         return TheoremOutcome("skipped", detail="graph is complete")
     if ctx.erg is None:
         return TheoremOutcome("skipped", detail="graph is not edge-regular")
-    bound, bound_exact = hoffman_clique_bound(g, ctx)
+    bound, bound_exact = hoffman_clique_bound(ctx)
     maxc = ctx.max_clique_order
     if maxc > bound + EIG_EQ_TOL:
         return _outcome(
@@ -370,14 +367,13 @@ def verify_hoffman_equivalence(g: Graph, ctx: Analysis | None = None) -> Theorem
     return _outcome(ctx, holds, detail, equality=attained)
 
 
-def verify_delsarte_equivalence(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
+def verify_delsarte_equivalence(ctx: Analysis) -> TheoremOutcome:
     """A Neumaier graph satisfies the Delsarte clique bound
     |C| <= 1 - k/theta_min iff it is strongly regular; for the strongly
     regular ones the bound equals s+1."""
-    ctx = ctx or Analysis(g)
     if not ctx.is_neumaier:
         return TheoremOutcome("skipped", detail="not a Neumaier graph")
-    bound, bound_exact = delsarte_clique_bound(g, ctx)
+    bound, bound_exact = delsarte_clique_bound(ctx)
     maxc = ctx.max_clique_order
     if bound_exact is not None:
         delsarte_ok = maxc <= bound_exact
@@ -396,7 +392,7 @@ def verify_delsarte_equivalence(g: Graph, ctx: Analysis | None = None) -> Theore
     return _outcome(ctx, holds, detail, equality=delsarte_ok)
 
 
-def is_one_walk_regular(g: Graph, ctx: Analysis | None = None) -> bool:
+def is_one_walk_regular(ctx: Analysis) -> bool:
     """True iff for every walk length l in 0..distinct_count-1 the number
     of l-walks is constant over vertices (diagonal) and constant over
     adjacent pairs, checked in exact integer arithmetic.
@@ -407,7 +403,7 @@ def is_one_walk_regular(g: Graph, ctx: Analysis | None = None) -> bool:
     from the charpoly kernel are read: two entries are equal iff their
     lane bytes are.  Raises ValueError on disconnected or irregular input.
     """
-    ctx = ctx or Analysis(g)
+    g = ctx.graph
     if not ctx.is_connected or not ctx.is_regular:
         raise ValueError("1-walk-regularity needs a connected regular graph")
     n = g.n
@@ -423,15 +419,14 @@ def is_one_walk_regular(g: Graph, ctx: Analysis | None = None) -> bool:
     return True
 
 
-def verify_walk_regular_theorem(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
+def verify_walk_regular_theorem(ctx: Analysis) -> TheoremOutcome:
     """A 1-walk-regular graph with a regular clique must be strongly
     regular; vacuous pass whenever the hypothesis fails."""
-    ctx = ctx or Analysis(g)
-    if g.n == 0 or not ctx.is_connected or not ctx.is_regular:
+    if ctx.graph.n == 0 or not ctx.is_connected or not ctx.is_regular:
         return TheoremOutcome(
             "holds", vacuous=True, detail="hypothesis fails: not connected regular"
         )
-    if not is_one_walk_regular(g, ctx):
+    if not is_one_walk_regular(ctx):
         return TheoremOutcome(
             "holds", vacuous=True, detail="hypothesis fails: not 1-walk-regular"
         )
@@ -445,10 +440,9 @@ def verify_walk_regular_theorem(g: Graph, ctx: Analysis | None = None) -> Theore
     )
 
 
-def verify_minus_two_corollary(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
+def verify_minus_two_corollary(ctx: Analysis) -> TheoremOutcome:
     """Neumaier graphs with smallest eigenvalue -2 (within 1e-8) must be
     strongly regular."""
-    ctx = ctx or Analysis(g)
     if not ctx.is_neumaier:
         return TheoremOutcome("skipped", detail="not a Neumaier graph")
     tmin = ctx.spectrum.theta_min
@@ -458,19 +452,17 @@ def verify_minus_two_corollary(g: Graph, ctx: Analysis | None = None) -> Theorem
     return TheoremOutcome("holds", vacuous=True, detail=f"theta_min={tmin:.12g} < -2")
 
 
-def verify_no_four_eigenvalues(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
+def verify_no_four_eigenvalues(ctx: Analysis) -> TheoremOutcome:
     """No Neumaier graph has exactly four distinct eigenvalues."""
-    ctx = ctx or Analysis(g)
     if not ctx.is_neumaier:
         return TheoremOutcome("holds", vacuous=True, detail="not a Neumaier graph")
     d = ctx.spectrum.distinct_count
     return _outcome(ctx, d != 4, f"distinct eigenvalue count = {d}")
 
 
-def verify_multipartite_boundary(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
+def verify_multipartite_boundary(ctx: Analysis) -> TheoremOutcome:
     """For edge-regular graphs, v + lam - 2k = 0 iff the graph is complete
     multipartite (both directions)."""
-    ctx = ctx or Analysis(g)
     if ctx.erg is None:
         return TheoremOutcome("skipped", detail="not edge-regular")
     erg = ctx.erg
@@ -484,16 +476,15 @@ def verify_multipartite_boundary(g: Graph, ctx: Analysis | None = None) -> Theor
     )
 
 
-def verify_extension_theorem(g: Graph, ctx: Analysis | None = None) -> TheoremOutcome:
+def verify_extension_theorem(ctx: Analysis) -> TheoremOutcome:
     """If every (e+1)-clique of a Neumaier graph extends to an
     (s+1)-clique, the graph is strongly regular; additionally the number
     of (s+1)-cliques through an edge, and through a vertex, is constant.
     The hypothesis itself is reported as data, never assumed."""
-    ctx = ctx or Analysis(g)
     if not ctx.is_neumaier:
         return TheoremOutcome("skipped", detail="not a Neumaier graph")
     s, e = ctx.s_e  # type: ignore[misc]
-    ext = extension_hypothesis_holds(g, e, s)
+    ext = extension_hypothesis_holds(ctx.graph, e, s)
     if not ext.holds:
         members = sorted(bits(ext.witness or 0))
         return TheoremOutcome(
@@ -702,7 +693,7 @@ class SweepAggregate:
             tid, {"holds": 0, "vacuous": 0, "violated": 0, "skipped": 0}
         )
 
-    def record_outcome(self, tid: str, outcome: TheoremOutcome, count: int = 1) -> None:
+    def record_outcome(self, tid: str, outcome: TheoremOutcome, count: int) -> None:
         st = self._stats(tid)
         st[outcome.status] += count
         if outcome.vacuous:
@@ -712,17 +703,13 @@ class SweepAggregate:
             if outcome.witness and len(wl) < _MAX_WITNESSES:
                 wl.append(outcome.witness)
 
-    def add_report(
-        self, rep: Analysis, with_histogram: bool = True, count: int = 1
-    ) -> None:
+    def add_report(self, rep: Analysis, count: int = 1) -> None:
         """Add the verdicts of ``count`` graphs that all classify as ``rep``
-        (the labeled sweep adds its irregular graphs at once this way)."""
+        (the labeled sweep adds its irregular graphs at once this way); each
+        sweep fills ``distinct_histogram`` itself."""
         self.total += count
         tax = rep.taxonomy.value
         self.taxonomy_counts[tax] = self.taxonomy_counts.get(tax, 0) + count
-        if with_histogram:
-            d = rep.spectrum.distinct_count
-            self.distinct_histogram[d] = self.distinct_histogram.get(d, 0) + count
         for tid, outcome in rep.theorems.items():
             self.record_outcome(tid, outcome, count)
         if rep.taxonomy in NEUMAIER_TAXA:
@@ -770,7 +757,10 @@ def sweep_verify(corpus: Iterable[Graph]) -> SweepAggregate:
     """Classify every graph of a corpus and aggregate the verdicts."""
     agg = SweepAggregate()
     for g in corpus:
-        agg.add_report(classify(g))
+        rep = classify(g)
+        agg.add_report(rep)
+        d = rep.spectrum.distinct_count
+        agg.distinct_histogram[d] = agg.distinct_histogram.get(d, 0) + 1
     return agg
 
 
@@ -809,11 +799,9 @@ def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int]]:
     # the bucket is reported even at n <= 2, where no graph is irregular
     agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] = 0
     if irregular:
-        agg.add_report(
-            classify(from_edges(n, [(0, 1)])), with_histogram=False, count=irregular
-        )
+        agg.add_report(classify(from_edges(n, [(0, 1)])), count=irregular)
     for mask in regular:
-        agg.add_report(classify(from_edge_mask(n, mask)), with_histogram=False)
+        agg.add_report(classify(from_edge_mask(n, mask)))
     return agg, stats, regular
 
 
@@ -829,8 +817,9 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     degree (``spectra._distinct_from_key``); a cluster count that differs
     from it is tallied in ``cluster_mismatches``.
     Work is split into chunks of base graphs on n - 1 vertices, each with
-    all 2^(n-1) borders, of at most ``_CHUNK_GRAPHS`` graphs.  The merged
-    aggregate is independent of worker count and chunking, and
+    all 2^(n-1) borders, of at most ``_CHUNK_GRAPHS`` graphs; the pool
+    runs at most one process per chunk and per CPU (``pool_size``).  The
+    merged aggregate is independent of worker count and chunking, and
     ``regular_masks`` is sorted ascending.
     """
     if not 1 <= n <= 8:
@@ -848,7 +837,7 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     if workers > 1 and len(args) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ProcessPoolExecutor(max_workers=pool_size(workers, len(args))) as ex:
             parts = list(ex.map(_labeled_chunk, args))
     else:
         parts = [_labeled_chunk(a) for a in args]
@@ -880,3 +869,9 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
 
 def default_sweep_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
+
+
+def pool_size(workers: int, tasks: int) -> int:
+    """Processes for a pool of ``workers`` that runs ``tasks`` tasks: at most
+    one per task and per CPU, since the pool starts them all at its first."""
+    return max(1, min(workers, tasks, os.cpu_count() or 1))

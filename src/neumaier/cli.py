@@ -29,6 +29,7 @@ from . import report as rpt
 from .classify import (
     classify,
     default_sweep_workers,
+    pool_size,
     refute_four_eigenvalues,
     sweep_labeled,
     sweep_verify,
@@ -128,7 +129,8 @@ def analyze(input, output, format, workers) -> None:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as ex:
+            tasks = -(-len(graphs) // 8)  # the pool sends 8 graphs a task
+            with ProcessPoolExecutor(max_workers=pool_size(workers, tasks)) as ex:
                 records = list(ex.map(_classify_record, graphs, chunksize=8))
         else:
             records = [_classify_record(g) for g in graphs]

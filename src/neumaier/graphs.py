@@ -315,11 +315,6 @@ def components(g: Graph) -> list[int]:
     return out
 
 
-def is_complete_component(g: Graph, comp: int) -> bool:
-    """True iff the vertices of ``comp`` induce a complete subgraph."""
-    return all(g.adj[u] & comp == comp ^ (1 << u) for u in bits(comp))
-
-
 def diameter(g: Graph) -> int | float:
     """Maximum BFS distance over vertex pairs; math.inf iff disconnected."""
     if g.n <= 1:

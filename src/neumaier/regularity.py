@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .graphs import Graph, bits, complement, components, is_complete, is_complete_component
+from .graphs import Graph, bits, is_complete
 
 _IDENTITY_TOL = 1e-9
 
@@ -128,18 +128,17 @@ def srg_params(g: Graph) -> SrgParams | None:
 
 
 def is_complete_multipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """True iff the complement is a disjoint union of cliques; the parts
-    are the complement's components, returned as a sorted size multiset.
-
-    Edgeless graphs (one part) and complete graphs (all parts singleton)
-    both qualify, matching the convention that non-adjacency must be an
-    equivalence relation.
+    """True iff non-adjacency is an equivalence relation, whose classes
+    are the parts, returned as a sorted size multiset.  Each closed
+    non-neighbourhood V \\ N(u) holds u, so this is so exactly when the
+    distinct ones partition V: when their sizes sum to n.  Edgeless graphs
+    (one part) and complete graphs (all parts singleton) both qualify.
     """
-    co = complement(g)
-    comps = components(co)
-    if all(is_complete_component(co, c) for c in comps):
-        return True, tuple(sorted(c.bit_count() for c in comps))
-    return False, None
+    full = (1 << g.n) - 1
+    parts = {full ^ row for row in g.adj}
+    if sum(p.bit_count() for p in parts) != g.n:
+        return False, None
+    return True, tuple(sorted(p.bit_count() for p in parts))
 
 
 def _clique_quadratic(v, k, lam):

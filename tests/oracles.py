@@ -25,6 +25,9 @@ bisect the tolerance geometrically in [1e-13, 1.0].  Splitting at the
 d - 1 widest gaps must give the same clusters, and fail on the same
 inputs.
 
+Complete multipartite graphs are checked against the transitivity of
+non-adjacency, tested by brute force over all vertex triples.
+
 Three closed forms that only tests called stay here as references: the
 outside-adjacency counts of a clique, and the float clique-bound root s
 and nexus e of edge-regular parameters.  Three more pin the labels of the
@@ -387,6 +390,18 @@ def brute_cliques_of_order(g: Graph, t: int) -> set[frozenset[int]]:
         if all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
             out.add(frozenset(combo))
     return out
+
+
+def non_adjacency_classes(g: Graph) -> tuple[int, ...] | None:
+    """Sorted class sizes of non-adjacency (u ~ u included) when brute
+    force over all triples finds it transitive; None otherwise."""
+    n = g.n
+    non = [[u == v or not g.has_edge(u, v) for v in range(n)] for u in range(n)]
+    for u, v, w in itertools.product(range(n), repeat=3):
+        if non[u][v] and non[v][w] and not non[u][w]:
+            return None
+    classes = {frozenset(v for v in range(n) if non[u][v]) for u in range(n)}
+    return tuple(sorted(len(c) for c in classes))
 
 
 def rook_closed_form(side: int) -> Graph:

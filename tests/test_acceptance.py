@@ -111,18 +111,18 @@ def test_criterion_3_hoffman_delsarte_equivalences(sweep_results):
             ctx = Analysis(g)
             if ctx.is_complete or not ctx.is_connected or ctx.erg is None:
                 continue
-            out = verify_hoffman_equivalence(g, ctx)
+            out = verify_hoffman_equivalence(ctx)
             assert out.status == "holds", (n, mask, out.detail)
-            dd = verify_delsarte_equivalence(g, ctx)
+            dd = verify_delsarte_equivalence(ctx)
             if ctx.is_neumaier:
                 assert dd.status == "holds", (n, mask, dd.detail)
             else:
                 assert dd.status == "skipped"
             checked += 1
     assert checked > 50
-    assert hoffman_clique_bound(rook(3))[1] == Fraction(3)
-    assert hoffman_clique_bound(johnson2(5))[1] == Fraction(4)
-    assert hoffman_clique_bound(petersen())[1] == Fraction(5, 2)
+    assert hoffman_clique_bound(Analysis(rook(3)))[1] == Fraction(3)
+    assert hoffman_clique_bound(Analysis(johnson2(5)))[1] == Fraction(4)
+    assert hoffman_clique_bound(Analysis(petersen()))[1] == Fraction(5, 2)
     _passed(
         "3",
         f"Hoffman/Delsarte equivalences on {checked} connected non-complete "
@@ -218,7 +218,7 @@ def test_criterion_7_walk_regularity_corpus():
     for g in corpus:
         ctx = Analysis(g)
         assert ctx.is_connected and ctx.is_regular
-        assert is_one_walk_regular(g, ctx), "corpus member not 1-walk-regular"
+        assert is_one_walk_regular(ctx), "corpus member not 1-walk-regular"
         has_regular_clique = (not ctx.is_complete) and bool(ctx.regular_cliques)
         if has_regular_clique:
             assert ctx.taxonomy is Taxonomy.NEUMAIER_SRG

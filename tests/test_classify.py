@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from neumaier.classify import (
+    VERIFIERS,
     Analysis,
     Taxonomy,
     classify,
@@ -25,6 +26,7 @@ from neumaier.graphs import (
     complete,
     complete_multipartite,
     cycle,
+    encode_graph6,
     from_edge_mask,
     from_edges,
     johnson2,
@@ -33,7 +35,7 @@ from neumaier.graphs import (
     rook,
 )
 from neumaier.report import aggregate_json, class_report_json
-from neumaier.spectra import spectrum
+from neumaier.spectra import Spectrum, spectrum
 
 
 def path(n):
@@ -153,9 +155,9 @@ def test_sandwich_skipped_cases():
 
 
 def test_hoffman_bounds_exact():
-    assert hoffman_clique_bound(rook(3))[1] == Fraction(3)
-    assert hoffman_clique_bound(johnson2(5))[1] == Fraction(4)
-    assert hoffman_clique_bound(petersen())[1] == Fraction(5, 2)
+    assert hoffman_clique_bound(Analysis(rook(3)))[1] == Fraction(3)
+    assert hoffman_clique_bound(Analysis(johnson2(5)))[1] == Fraction(4)
+    assert hoffman_clique_bound(Analysis(petersen()))[1] == Fraction(5, 2)
 
 
 def test_hoffman_equivalence_outcomes():
@@ -166,9 +168,9 @@ def test_hoffman_equivalence_outcomes():
 
 
 def test_delsarte_bounds():
-    assert delsarte_clique_bound(rook(4))[1] == Fraction(4)
-    assert delsarte_clique_bound(complete_multipartite(3, 2))[1] == Fraction(3)
-    assert delsarte_clique_bound(johnson2(6))[1] == Fraction(5)
+    assert delsarte_clique_bound(Analysis(rook(4)))[1] == Fraction(4)
+    assert delsarte_clique_bound(Analysis(complete_multipartite(3, 2)))[1] == Fraction(3)
+    assert delsarte_clique_bound(Analysis(johnson2(6)))[1] == Fraction(5)
 
 
 def test_delsarte_equivalence_outcomes():
@@ -176,7 +178,7 @@ def test_delsarte_equivalence_outcomes():
         rep = classify(g)
         out = rep.theorems["delsarte"]
         assert out.status == "holds"
-        bound, exact = delsarte_clique_bound(g)
+        bound, exact = delsarte_clique_bound(rep)
         assert exact == s + 1
     assert classify(cycle(6)).theorems["delsarte"].status == "skipped"
 
@@ -186,13 +188,13 @@ def test_delsarte_equivalence_outcomes():
 
 
 def test_is_one_walk_regular():
-    assert is_one_walk_regular(petersen())
-    assert is_one_walk_regular(rook(3))
+    assert is_one_walk_regular(Analysis(petersen()))
+    assert is_one_walk_regular(Analysis(rook(3)))
     k4_minus_edge = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     with pytest.raises(ValueError):
-        is_one_walk_regular(k4_minus_edge)
+        is_one_walk_regular(Analysis(k4_minus_edge))
     with pytest.raises(ValueError):
-        is_one_walk_regular(two_k3())
+        is_one_walk_regular(Analysis(two_k3()))
 
 
 def test_not_one_walk_regular_example():
@@ -200,7 +202,7 @@ def test_not_one_walk_regular_example():
     # the prism C_3 x K_2 has two kinds of edges (triangle vs rung)
     prism = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                            (0, 3), (1, 4), (2, 5)])
-    assert not is_one_walk_regular(prism)
+    assert not is_one_walk_regular(Analysis(prism))
 
 
 def walk_regular_every_length(g):
@@ -229,14 +231,14 @@ def test_walk_regularity_stops_at_the_last_needed_power():
         for mask in range(1 << (n * (n - 1) // 2)):
             g = from_edge_mask(n, mask)
             if g.edge_count() and is_regular(g) and is_connected(g):
-                verdict = is_one_walk_regular(g)
+                verdict = is_one_walk_regular(Analysis(g))
                 assert verdict == walk_regular_every_length(g), (n, mask)
                 seen[verdict] += 1
     # dense rows in complement form, and wide lanes: K_{6x6},
     # complement(rook(7)) and the complement of a random 6-regular graph
     larger = [complete_multipartite(6, 6), complement(rook(7)), complement(random_regular(62, 6))]
     for g in [oracles.cayley_z2z8_lambda4()[0], rook(4), complement(rook(4))] + larger:
-        assert is_one_walk_regular(g) == walk_regular_every_length(g)
+        assert is_one_walk_regular(Analysis(g)) == walk_regular_every_length(g)
     assert seen[True] and seen[False]
 
 
@@ -458,6 +460,42 @@ def test_extension_holds_on_large_clique_counts():
         assert (rep.s, rep.e) == s_e
         out = rep.theorems["extension"]
         assert out.status == "holds" and not out.vacuous
+
+
+# ---------------------------------------------------------------------------
+# negative controls: each verifier can say "violated"
+
+
+def _four_distinct(g):
+    sp = spectrum(g)
+    return Spectrum(sp.eigs, 4, sp.charpoly)
+
+
+# srg = None makes rook(s+1) look strictly Neumaier; the multipartite
+# flag is read directly, because avg_params refuses K_{3x2} and a full
+# classify would stop at the sandwich verifier
+NEGATIVE_CONTROLS = [
+    *[
+        (f"{tid}-rook{side}", rook(side), "srg", lambda g: None, tid)
+        for side in (3, 4)
+        for tid in ("sandwich", "hoffman", "delsarte", "walk", "minus2", "extension")
+    ],
+    ("lem1-K3x2", complete_multipartite(3, 2), "multipartite", lambda g: (False, None), "lem1"),
+    ("four-rook3", rook(3), "spectrum", _four_distinct, "four"),
+]
+
+
+@pytest.mark.parametrize(
+    "g, field, falsify, tid",
+    [case[1:] for case in NEGATIVE_CONTROLS],
+    ids=[case[0] for case in NEGATIVE_CONTROLS],
+)
+def test_verifier_reports_a_falsified_input(g, field, falsify, tid):
+    ctx = Analysis(g)
+    setattr(ctx, field, falsify(g))  # before the first read of the cached field
+    out = VERIFIERS[tid](ctx)
+    assert out.status == "violated", out.detail
+    assert out.witness == encode_graph6(g)
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,47 @@ def test_sweep_worker_count_does_not_change_output():
     assert docs[0] == docs[1]
 
 
+def test_process_pools_are_bounded_by_tasks_and_cpus(monkeypatch):
+    # a stand-in pool records (processes, tasks) and maps in this process,
+    # so no process starts however many workers are asked for
+    import concurrent.futures
+
+    from neumaier.classify import sweep_labeled
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            pools.append((self.max_workers, -(-len(items) // chunksize)))
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # n = 5 is one chunk at 10**6 workers, so it runs without a pool;
+    # 4 workers split it into 32 chunks, and the 2 CPUs bound the pool
+    for workers in (10**6, 4):
+        assert sweep_labeled(5, workers=workers).aggregate.total == 1024
+    assert pools == [(2, 32)]
+    pools.clear()
+    two = "\n".join(encode_graph6(g) for g in (rook(3), petersen())) + "\n"
+    assert invoke(["analyze", "--workers", "1000000"], input=two).exit_code == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    res = invoke(["analyze", "--workers", "1000000"], input=two * 10)
+    assert res.exit_code == 0 and len(res.output.splitlines()) == 20
+    # 2 graphs are one task of 8; 20 graphs are 3, below the 64 CPUs
+    assert pools == [(1, 1), (3, 3)]
+
+
 def test_cli_import_leaves_the_process_pool_out():
     # only runs with --workers > 1 load the pool; the tests above with
     # several workers still cover it

@@ -83,6 +83,15 @@ def test_complete_multipartite_examples():
     assert ok and parts == (3,)
 
 
+def test_complete_multipartite_matches_transitivity_oracle():
+    # every labeled graph on <= 6 vertices, the empty graph included
+    for n in range(7):
+        for m in masks(n):
+            g = from_edge_mask(n, m)
+            parts = oracles.non_adjacency_classes(g)
+            assert is_complete_multipartite(g) == (parts is not None, parts), (n, m)
+
+
 def test_multipartite_boundary_biconditional_small():
     # v + lam - 2k = 0 iff complete multipartite, over all edge-regular
     # graphs on <= 6 vertices

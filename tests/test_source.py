@@ -11,6 +11,8 @@ PACKAGE = ROOT / "src" / "neumaier"
 # the __init__ modules import names only to re-export them
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+#: every file that may read a package definition
+READERS = sorted(PACKAGE.rglob("*.py")) + TESTS + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,6 +51,59 @@ def test_unused_import_check_sees_every_import_form():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["line 3: j", "line 4: D", "line 7: H"]
+
+
+def definitions(source: str) -> list[str]:
+    """Module-level functions, classes and assigned names."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
+def reads(source: str) -> set[str]:
+    """Names read, attribute names, and string constants; the benchmark
+    tracer looks some names up by string."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_package_definition_is_read():
+    # an import alone is no read: a name only re-exported is dead
+    read = set().union(*(reads(p.read_text(encoding="utf-8")) for p in READERS))
+    unread = [
+        f"{path.relative_to(PACKAGE)}: {name}"
+        for path in MODULES
+        for name in definitions(path.read_text(encoding="utf-8"))
+        if name not in read
+    ]
+    assert unread == []
+
+
+def test_dead_definition_check_sees_every_form():
+    source = (
+        "from .a import f\n"
+        "X = 1\n"
+        "Y: int = 2\n"
+        "def g(): return X\n"
+        "class C: pass\n"
+        "async def h(): pass\n"
+        "TABLE = {'k': m.attr, 'h': 'C'}\n"
+    )
+    assert definitions(source) == ["X", "Y", "g", "C", "h", "TABLE"]
+    assert {"f", "Y", "g", "TABLE"}.isdisjoint(reads(source))
+    assert {"X", "attr", "m", "C"} <= reads(source)
 
 
 def module_constant(path: Path, name: str):
