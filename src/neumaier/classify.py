@@ -817,31 +817,23 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     degree (``spectra._distinct_from_key``); a cluster count that differs
     from it is tallied in ``cluster_mismatches``.
     Work is split into chunks of base graphs on n - 1 vertices, each with
-    all 2^(n-1) borders, of at most ``_CHUNK_GRAPHS`` graphs; the pool
-    runs at most one process per chunk and per CPU (``pool_size``).  The
-    merged aggregate is independent of worker count and chunking, and
-    ``regular_masks`` is sorted ascending.
+    all 2^(n-1) borders: at most ``_CHUNK_GRAPHS`` graphs a chunk, and
+    about eight chunks for each process ``pool_size`` lets run, all mapped
+    by ``ordered_map``.  The merged aggregate is independent of worker
+    count and chunking, and ``regular_masks`` is sorted ascending.
     """
     if not 1 <= n <= 8:
         raise ValueError("labeled sweeps support 1 <= n <= 8")
     t0 = perf_counter()
     bases = 1 << ((n - 1) * (n - 2) // 2)
-    # cap chunk size so every worker gets several chunks; chunking never
-    # affects the merged aggregate, only scheduling granularity
-    chunk = max(1, min(_CHUNK_GRAPHS >> (n - 1), bases // (max(workers, 1) * 8) or bases))
-    ranges = [(s, min(s + chunk, bases)) for s in range(0, bases, chunk)]
-    args = [(n, a, b) for a, b in ranges]
+    # cap chunk size so every process that runs gets several chunks;
+    # chunking never affects the merged aggregate, only scheduling
+    chunk = max(1, min(_CHUNK_GRAPHS >> (n - 1), bases // (8 * pool_size(workers, bases))))
+    args = [(n, s, min(s + chunk, bases)) for s in range(0, bases, chunk)]
     agg = SweepAggregate()
     stats: dict[tuple[int, ...], list[int]] = {}
     regular_masks: list[int] = []
-    if workers > 1 and len(args) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=pool_size(workers, len(args))) as ex:
-            parts = list(ex.map(_labeled_chunk, args))
-    else:
-        parts = [_labeled_chunk(a) for a in args]
-    for part_agg, part_stats, part_regular in parts:
+    for part_agg, part_stats, part_regular in ordered_map(_labeled_chunk, args, workers, 1):
         agg.merge(part_agg)
         for key, (count, mn, mx) in part_stats.items():
             entry = stats.get(key)
@@ -867,11 +859,21 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     )
 
 
-def default_sweep_workers() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 def pool_size(workers: int, tasks: int) -> int:
     """Processes for a pool of ``workers`` that runs ``tasks`` tasks: at most
-    one per task and per CPU, since the pool starts them all at its first."""
+    one per task and per CPU, since the pool starts them all at its first.
+    ``ordered_map`` sizes its pool by it, and the labeled sweep its chunks."""
     return max(1, min(workers, tasks, os.cpu_count() or 1))
+
+
+def ordered_map(fn, items: list, workers: int, chunksize: int) -> list:
+    """``[fn(x) for x in items]``, mapped ``chunksize`` items a task over a
+    process pool when ``pool_size`` gives it two or more processes; else in
+    this process, as a pool of one would only pickle serial work."""
+    processes = pool_size(workers, -(-len(items) // chunksize))
+    if processes == 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=processes) as ex:
+        return list(ex.map(fn, items, chunksize=chunksize))

@@ -28,8 +28,7 @@ import click
 from . import report as rpt
 from .classify import (
     classify,
-    default_sweep_workers,
-    pool_size,
+    ordered_map,
     refute_four_eigenvalues,
     sweep_labeled,
     sweep_verify,
@@ -67,13 +66,14 @@ def _open_out(path: str):
 def _check_out(path: str) -> None:
     """Exit 2 as ``_open_out`` would, before a long run, when ``path``
     cannot be written.  Nothing is created or truncated: an existing file
-    or directory is opened for writing without truncation, and a new
-    file's directory must exist and be writable.  Pipes and devices are
+    or directory is opened for writing without truncation, an empty path
+    fails that open as it fails ``open``, and a new file's directory must
+    exist and be writable.  Pipes and devices are
     left to ``_open_out``, since opening one can block or consume it."""
     if path == "-":
         return
     try:
-        if os.path.isfile(path) or os.path.isdir(path):
+        if not path or os.path.isfile(path) or os.path.isdir(path):
             os.close(os.open(path, os.O_WRONLY))
         elif not os.path.lexists(path):
             parent = os.path.dirname(path) or "."
@@ -126,68 +126,22 @@ def analyze(input, output, format, workers) -> None:
     graphs = [g for _, g in _read_graphs(input)]
     out = _open_out(output)
     try:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            tasks = -(-len(graphs) // 8)  # the pool sends 8 graphs a task
-            with ProcessPoolExecutor(max_workers=pool_size(workers, tasks)) as ex:
-                records = list(ex.map(_classify_record, graphs, chunksize=8))
-        else:
-            records = [_classify_record(g) for g in graphs]
+        records = ordered_map(_classify_record, graphs, workers, 8)
         if format == "csv":
             out.write(rpt.CSV_HEADER + "\n")
         for rec in records:
             if format == "json":
                 out.write(json.dumps(rec, sort_keys=True) + "\n")
             elif format == "csv":
-                out.write(_csv_from_record(rec) + "\n")
+                out.write(rpt.record_csv(rec) + "\n")
             else:
-                out.write(_human_from_record(rec) + "\n\n")
+                out.write(rpt.record_human(rec) + "\n\n")
     except INTERNAL_ERRORS as exc:
         click.echo(f"internal consistency error: {exc}", err=True)
         sys.exit(EXIT_CONSISTENCY)
     finally:
         if out is not sys.stdout:
             out.close()
-
-
-def _csv_from_record(rec: dict) -> str:
-    p = rec["params"]
-    sp = rec["spectrum"]
-    eigs = sp["eigs"]
-    tmin = f"{eigs[-1][0]:.10g}" if eigs else ""
-    tmax2 = f"{eigs[1][0]:.10g}" if sp["distinct"] >= 2 else ""
-    fields = [
-        rec["graph6"] or "",
-        rec["taxonomy"],
-        str(rec["n"]),
-        str(p.get("k", "")),
-        str(p.get("lambda", "")),
-        str(p.get("s", "")),
-        str(p.get("e", "")),
-        str(sp["distinct"]),
-        tmin,
-        tmax2,
-    ]
-    return ",".join(fields)
-
-
-def _human_from_record(rec: dict) -> str:
-    lines = [f"graph {rec['graph6']}  (n={rec['n']})"]
-    lines.append(f"  taxonomy: {rec['taxonomy']}")
-    p = rec["params"]
-    if "k" in p:
-        lines.append(f"  (v,k,lambda) = ({rec['n']},{p['k']},{p['lambda']})")
-    if "mu" in p:
-        lines.append(f"  mu = {p['mu']}")
-    if "s" in p:
-        lines.append(f"  s = {p['s']}, e = {p['e']}")
-    spec = ", ".join(f"{v:.6g}^{m}" for v, m in rec["spectrum"]["eigs"])
-    lines.append(f"  spectrum: {{{spec}}}  distinct={rec['spectrum']['distinct']}")
-    for tid, o in rec["theorems"].items():
-        tag = o["status"] + (" (vacuous)" if o.get("vacuous") else "")
-        lines.append(f"  [{tid:>9}] {tag}")
-    return "\n".join(lines)
 
 
 @main.command("generate")
@@ -217,14 +171,14 @@ def generate(family, params, output) -> None:
 @click.option("--output", "output", default="-", show_default=True)
 @click.option("--format", "format", default="human",
               type=click.Choice(["json", "csv", "human"]), show_default=True)
-@click.option("--workers", default=None, type=int,
-              help="worker processes for exhaustive sweeps [default: cpu-bound]")
+@click.option("--workers", default=8, show_default=True,
+              help="worker processes for exhaustive sweeps, at most one per CPU")
 def sweep(n, input, output, format, workers) -> None:
     """Verify every theorem over a corpus or an exhaustive enumeration;
     exits 4 when any assertion fails."""
     if (n is None) == (input is None):
         _fail("provide exactly one of --n or --input")
-    if workers is not None and workers < 1:
+    if workers < 1:
         _fail("workers must be >= 1")
     exhaustive = n is not None
     _check_out(output)
@@ -232,7 +186,7 @@ def sweep(n, input, output, format, workers) -> None:
         if exhaustive:
             if not 1 <= n <= 8:
                 _fail("sweep needs 1 <= n <= 8")
-            result = sweep_labeled(n, workers or default_sweep_workers())
+            result = sweep_labeled(n, workers)
             agg, passed = result.aggregate, result.ok()
         else:
             agg = sweep_verify(g for _, g in _read_graphs(input))

@@ -26,6 +26,47 @@ CSV_HEADER = (
 )
 
 
+def record_csv(rec: dict[str, Any]) -> str:
+    """The ``CSV_HEADER`` row of a ``class_report_json`` record."""
+    p = rec["params"]
+    sp = rec["spectrum"]
+    eigs = sp["eigs"]
+    tmin = f"{eigs[-1][0]:.10g}" if eigs else ""
+    tmax2 = f"{eigs[1][0]:.10g}" if sp["distinct"] >= 2 else ""
+    fields = [
+        rec["graph6"] or "",
+        rec["taxonomy"],
+        str(rec["n"]),
+        str(p.get("k", "")),
+        str(p.get("lambda", "")),
+        str(p.get("s", "")),
+        str(p.get("e", "")),
+        str(sp["distinct"]),
+        tmin,
+        tmax2,
+    ]
+    return ",".join(fields)
+
+
+def record_human(rec: dict[str, Any]) -> str:
+    """A ``class_report_json`` record as text."""
+    lines = [f"graph {rec['graph6']}  (n={rec['n']})"]
+    lines.append(f"  taxonomy: {rec['taxonomy']}")
+    p = rec["params"]
+    if "k" in p:
+        lines.append(f"  (v,k,lambda) = ({rec['n']},{p['k']},{p['lambda']})")
+    if "mu" in p:
+        lines.append(f"  mu = {p['mu']}")
+    if "s" in p:
+        lines.append(f"  s = {p['s']}, e = {p['e']}")
+    spec = ", ".join(f"{v:.6g}^{m}" for v, m in rec["spectrum"]["eigs"])
+    lines.append(f"  spectrum: {{{spec}}}  distinct={rec['spectrum']['distinct']}")
+    for tid, o in rec["theorems"].items():
+        tag = o["status"] + (" (vacuous)" if o.get("vacuous") else "")
+        lines.append(f"  [{tid:>9}] {tag}")
+    return "\n".join(lines)
+
+
 def spectrum_json(s: Spectrum) -> dict[str, Any]:
     return {
         "eigs": [[value, mult] for value, mult in s.eigs],

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from neumaier.classify import (
+    _MAX_WITNESSES,
     VERIFIERS,
     Analysis,
     Taxonomy,
@@ -471,14 +472,15 @@ def _four_distinct(g):
     return Spectrum(sp.eigs, 4, sp.charpoly)
 
 
-# srg = None makes rook(s+1) look strictly Neumaier; the multipartite
-# flag is read directly, because avg_params refuses K_{3x2} and a full
-# classify would stop at the sandwich verifier
+# srg = None makes rook(s+1) look strictly Neumaier to these verifiers;
+# the multipartite flag is read directly, because avg_params refuses
+# K_{3x2} and a full classify would stop at the sandwich verifier
+SRG_FALSIFIED = ("sandwich", "hoffman", "delsarte", "walk", "minus2", "extension")
 NEGATIVE_CONTROLS = [
     *[
         (f"{tid}-rook{side}", rook(side), "srg", lambda g: None, tid)
         for side in (3, 4)
-        for tid in ("sandwich", "hoffman", "delsarte", "walk", "minus2", "extension")
+        for tid in SRG_FALSIFIED
     ],
     ("lem1-K3x2", complete_multipartite(3, 2), "multipartite", lambda g: (False, None), "lem1"),
     ("four-rook3", rook(3), "spectrum", _four_distinct, "four"),
@@ -555,6 +557,37 @@ def test_sweep_labeled_worker_independence():
         assert aggregate_json(a.aggregate, a.ok()) == aggregate_json(b.aggregate, b.ok())
         assert a.charpoly_stats == b.charpoly_stats
         assert a.regular_masks == b.regular_masks == sorted(a.regular_masks)
+
+
+def test_sweep_violations_are_capped_through_record_and_merge(monkeypatch):
+    # srg = None on every Analysis; the witnesses must survive the aggregates
+    monkeypatch.setattr(Analysis, "srg", property(lambda self: None))
+    whole = sweep_verify([rook(3)] * 40)
+    halves = sweep_verify([rook(3)] * 20)
+    halves.merge(sweep_verify([rook(3)] * 20))
+    for agg in (whole, halves):
+        assert not agg.ok()
+        assert sorted(agg.violations) == sorted(SRG_FALSIFIED)
+        for tid in SRG_FALSIFIED:
+            assert agg.theorem_stats[tid]["violated"] == 40
+            assert agg.violations[tid] == [encode_graph6(rook(3))] * _MAX_WITNESSES
+
+
+def test_sweep_labeled_merges_violations_across_chunks(monkeypatch, serial_pool):
+    monkeypatch.setattr(Analysis, "srg", property(lambda self: None))
+    one = sweep_labeled(6, workers=1)
+    four = sweep_labeled(6, workers=4)  # 16 chunks, merged in this process
+    assert serial_pool == [(2, 16)]
+    # the 25 NeumaierSRG graphs on 6 vertices now look strictly Neumaier
+    agg = one.aggregate
+    assert not one.ok() and not four.ok()
+    assert agg.taxonomy_counts["StrictlyNeumaier"] == 25
+    violated = {tid: st["violated"] for tid, st in agg.theorem_stats.items() if st["violated"]}
+    assert violated == {"hoffman": 25, "delsarte": 25, "walk": 25, "extension": 25, "minus2": 15}
+    strict = sorted(g6 for g6, _ in agg.strictly_neumaier)
+    assert sorted(agg.violations["hoffman"]) == strict
+    assert four.aggregate.theorem_stats == agg.theorem_stats
+    assert four.aggregate.violations == agg.violations
 
 
 # ---------------------------------------------------------------------------

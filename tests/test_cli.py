@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import neumaier
 from neumaier import cli, spectra
+from neumaier.classify import Analysis
 from neumaier.cli import main
 from neumaier.graphs import (
     complete_multipartite,
@@ -50,8 +51,9 @@ def test_analyze_order_preserving():
 
 
 def test_analyze_worker_count_does_not_change_output():
+    # 12 graphs are two tasks of 8, so two CPUs run a pool of two
     lines = "\n".join(
-        encode_graph6(g) for g in (rook(3), petersen(), johnson2(4), rook(2))
+        encode_graph6(g) for g in (rook(3), petersen(), johnson2(4), rook(2)) * 3
     ) + "\n"
     a = invoke(["analyze", "--workers", "1"], input=lines)
     b = invoke(["analyze", "--workers", "3"], input=lines)
@@ -173,50 +175,32 @@ def test_sweep_worker_count_does_not_change_output():
     assert docs[0] == docs[1]
 
 
-def test_process_pools_are_bounded_by_tasks_and_cpus(monkeypatch):
-    # a stand-in pool records (processes, tasks) and maps in this process,
-    # so no process starts however many workers are asked for
-    import concurrent.futures
-
+def test_process_pools_are_bounded_by_tasks_and_cpus(serial_pool, monkeypatch):
     from neumaier.classify import sweep_labeled
 
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            pools.append((self.max_workers, -(-len(items) // chunksize)))
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    # n = 5 is one chunk at 10**6 workers, so it runs without a pool;
-    # 4 workers split it into 32 chunks, and the 2 CPUs bound the pool
-    for workers in (10**6, 4):
-        assert sweep_labeled(5, workers=workers).aggregate.total == 1024
-    assert pools == [(2, 32)]
-    pools.clear()
+    # on 2 CPUs the sweep cuts about 8 chunks per process that runs, however
+    # many workers above one are asked for
+    assert sweep_labeled(5, workers=4).aggregate.total == 1024
+    assert sweep_labeled(5, workers=10**6).aggregate.total == 1024
+    assert sweep_labeled(6, workers=129).aggregate.total == 32768
+    assert serial_pool == [(2, 16)] * 3
+    serial_pool.clear()
+    # no pool of one: 2 graphs are one task of 8, and one CPU runs alone
     two = "\n".join(encode_graph6(g) for g in (rook(3), petersen())) + "\n"
     assert invoke(["analyze", "--workers", "1000000"], input=two).exit_code == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert sweep_labeled(5, workers=4).aggregate.total == 1024
+    assert serial_pool == []
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     res = invoke(["analyze", "--workers", "1000000"], input=two * 10)
     assert res.exit_code == 0 and len(res.output.splitlines()) == 20
-    # 2 graphs are one task of 8; 20 graphs are 3, below the 64 CPUs
-    assert pools == [(1, 1), (3, 3)]
+    # 20 graphs are 3 tasks, below the 64 CPUs
+    assert serial_pool == [(3, 3)]
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    # only runs with --workers > 1 load the pool; the tests above with
-    # several workers still cover it
+    # only runs that make a pool of two or more processes load it; the
+    # tests above with several workers still cover it
     src = Path(neumaier.__file__).resolve().parent.parent
     code = "import sys, neumaier.cli; print('concurrent.futures.process' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -257,6 +241,23 @@ def test_sweep_verdict_is_the_exit_code(monkeypatch):
     assert res.output.splitlines()[-2] == "verdict: FAILED"
     res = invoke(["sweep", "--n", "4", "--workers", "1", "--format", "json"])
     assert res.exit_code == 4 and json.loads(res.output)["ok"] is False
+
+
+def test_sweep_corpus_input_reports_violations(tmp_path, monkeypatch):
+    # srg = None makes rook(3) look strictly Neumaier to every verifier
+    monkeypatch.setattr(Analysis, "srg", property(lambda self: None))
+    corpus = tmp_path / "corpus.g6"
+    witness = encode_graph6(rook(3))
+    corpus.write_text(witness + "\n")
+    res = invoke(["sweep", "--input", str(corpus), "--format", "json"])
+    assert res.exit_code == 4
+    doc = json.loads(res.output)
+    assert doc["ok"] is False and doc["violations"]["hoffman"] == [witness]
+    res = invoke(["sweep", "--input", str(corpus)])
+    assert res.exit_code == 4
+    lines = res.output.splitlines()
+    assert f"witnesses[hoffman]: {witness}" in lines
+    assert lines[-1] == "verdict: FAILED"
 
 
 def test_sweep_corpus_input(tmp_path):
@@ -343,14 +344,13 @@ def test_missing_input_file_exits_2(tmp_path, command):
 
 
 def test_unwritable_output_file_exits_2(tmp_path, monkeypatch):
-    out = tmp_path / "nodir" / "x.json"
-    res = invoke(["analyze", "--output", str(out)], input="Bw\n")
-    assert_one_line_exit_2(res, f"cannot write {out}: No such file or directory")
     # a sweep finds out before it runs
     monkeypatch.setattr(cli, "sweep_labeled", lambda *a: pytest.fail("the sweep ran"))
-    res = invoke(["sweep", "--n", "6", "--output", str(out)])
-    assert_one_line_exit_2(res, f"cannot write {out}: No such file or directory")
-    assert not out.parent.exists()
+    for out in (str(tmp_path / "nodir" / "x.json"), ""):
+        message = f"cannot write {out}: No such file or directory"
+        assert_one_line_exit_2(invoke(["analyze", "--output", out], input="Bw\n"), message)
+        assert_one_line_exit_2(invoke(["sweep", "--n", "6", "--output", out]), message)
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_non_ascii_input_file_names_the_line(tmp_path):

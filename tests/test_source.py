@@ -106,6 +106,47 @@ def test_dead_definition_check_sees_every_form():
     assert {"X", "attr", "m", "C"} <= reads(source)
 
 
+def pool_sites(source: str) -> list[str]:
+    """The innermost function around each mention of ``ProcessPoolExecutor``
+    (as a name, an attribute or an import), or ``<module>``."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif "ProcessPoolExecutor" in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+        ):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_one_function_makes_process_pools():
+    # a second hand-written pool would decide on its own when to start one
+    sites = {
+        f"{path.relative_to(PACKAGE)}:{where}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for where in pool_sites(path.read_text(encoding="utf-8"))
+    }
+    assert sites == {"classify.py:ordered_map"}
+
+
+def test_pool_check_sees_every_form():
+    source = (
+        "import concurrent.futures\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "def f():\n"
+        "    def g(): return ProcessPoolExecutor\n"
+        "    return concurrent.futures.ProcessPoolExecutor\n"
+        "def h(): return 'ProcessPoolExecutor'\n"
+    )
+    assert pool_sites(source) == ["<module>", "g", "f"]
+
+
 def module_constant(path: Path, name: str):
     """The literal value assigned to ``name`` at the top of a module, read
     without importing it."""
