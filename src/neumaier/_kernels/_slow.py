@@ -2,8 +2,9 @@
 
 ``packed_powers`` (the rows of A^1..A^n in byte-aligned lanes that
 widen with the power, read by ``charpoly_adj`` for its power sums and by
-the walk-regularity check), ``charpoly_adj``, ``jacobi_eigenvalues``
-(Householder + implicit QL) and ``cluster_count`` serve single graphs.
+the walk-regularity check), ``charpoly_adj`` and ``jacobi_eigenvalues``
+(Householder + implicit QL) serve single graphs; ``cluster_count`` stays
+for the benchmark's tracing and the test oracles, which look it up.
 ``sweep_masks`` scans the exhaustive labeled sweep over ranges of base
 graphs on n - 1 vertices.  It borders each base with every neighbourhood
 of vertex n - 1 in Gray-code order and gets each graph's exact charpoly
@@ -12,12 +13,13 @@ det(xI - A') = x φ_G(x) - s^T adj(xI - A) s.  That costs about n additions
 of packed ints per graph once φ_G and the adjugate are known for the base.
 The keys are Kronecker-packed in lanes sized from a rigorous coefficient
 bound (``_coeff_bound``, n <= 8) and decoded with a guard-bit check.  The
-numeric eigenvalues reuse the base too: with A_G = V Λ V^T decomposed
-once, each bordered matrix A' is orthogonally similar to the arrowhead
-[[Λ, z], [z^T, 0]] with z = V^T s, which Givens rotations take to a
-tridiagonal for implicit QL.  Built from each graph's own border, that
-similarity yields the eigenvalues of A' + E with ||E|| = O(n ε ||A'||),
-the guarantee Householder on A' itself gave (see ``sweep_masks``).
+numeric check reuses the base too: with A_G = V Λ V^T decomposed once,
+each bordered matrix A' is orthogonally similar to the arrowhead
+[[Λ, z], [z^T, 0]] with z = V^T s.  Its eigenvalues are counted, not
+solved for: below a separator t they number #{λ_i < t} plus one when
+-t - Σ z_i² / (λ_i - t) < 0 (Haynsworth's inertia formula on the Schur
+complement), O(n) per t.  Each distinct charpoly gets one plan of
+separators from one eigensolve (see ``sweep_masks``).
 
 The package re-exports these functions from ``neumaier._kernels``.  The
 module path and the function names stay as they are because the
@@ -29,9 +31,10 @@ its one span.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from math import comb, copysign, hypot, isqrt, sqrt
-from operator import add, mul, sub
+from math import comb, copysign, hypot, inf, isqrt, nextafter, sqrt
+from operator import add, mul, sub, truediv
 from typing import Iterator
 
 from ..errors import SpectralResolutionError
@@ -41,13 +44,9 @@ KERNEL_KIND = "python"
 
 #: cap on implicit-QL iterations per eigenvalue; the Householder
 #: tridiagonals of every 6-vertex graph and of random graphs up to 62
-#: vertices need <= 6, the arrowhead tridiagonals of the n <= 7 sweep <= 8
+#: vertices need <= 6
 _QL_MAX_ITERATIONS = 30
 _EPS = 2.0**-52
-#: gap at which ``sweep_masks`` starts a new cluster when it counts each
-#: graph's numeric eigenvalues; integer adjacency matrices at desk scale
-#: have far larger true gaps
-SWEEP_CLUSTER_TOL = 1e-7
 
 
 def charpoly_adj(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -303,70 +302,83 @@ def _implicit_ql(
 
 
 def _base_eigensystem(adj: tuple[int, ...], nb: int) -> tuple[list[float], list[tuple[float, ...]]]:
-    """Eigenvalues lam and orthogonal V with A = V diag(lam) V^T, for the
-    0/1 adjacency matrix of the nb-vertex graph given as neighbour
+    """Eigenvalues lam, ascending, and orthogonal V with A = V diag(lam) V^T,
+    for the 0/1 adjacency matrix of the nb-vertex graph given as neighbour
     bitsets: Householder and implicit QL with the reflectors and rotations
     accumulated.  V is returned as its rows, one per vertex."""
     a = [[float(r >> j & 1) for j in range(nb)] for r in adj]
     zt = [[float(i == j) for j in range(nb)] for i in range(nb)]
     lam, e = _tridiagonalize(a, nb, zt)
     _implicit_ql(lam, e, zt)
-    return lam, list(zip(*zt))
+    order = sorted(range(nb), key=lam.__getitem__)
+    return [lam[k] for k in order], list(zip(*(zt[k] for k in order)))
 
 
-def _bordered_eigenvalues(lam: list[float], z: list[float]) -> list[float]:
-    """Eigenvalues (ascending) of the arrowhead [[diag(lam), z], [z^T, 0]].
+def _separator_plan(
+    n: int, mask: int, coeffs: tuple[int, ...]
+) -> tuple[int, list[tuple[float, int]]]:
+    """(d, cuts) for the charpoly ``coeffs`` of the n-vertex graph with
+    edge mask ``mask``: d is its exact distinct-eigenvalue count, and cuts
+    lists, ascending, a separator t between each two consecutive distinct
+    eigenvalues with the number of eigenvalues below it.
 
-    For j = 0, 1, ..., a rotation in plane (j, j+1) folds z_j into z_(j+1).
-    Rows j+1 onward are still diagonal, so it leaves one bulge, at
-    (j-1, j+1), which j more rotations chase up and out of the leading
-    tridiagonal block: (n-1)(n-2)/2 rotations for an n x n arrowhead.  The
-    last z entry then couples the final row, and implicit QL finishes.
+    The graph's eigenvalues (``jacobi_eigenvalues``) are split at their
+    d - 1 widest gaps (``spectra._group``), and each t is the midpoint of
+    a cut gap.  The cluster sizes must be Yun's multiplicities, as in
+    ``spectra.spectrum``; when they are not, or no gap threshold splits
+    the values, the plan is (0, []), which no graph's exact count equals.
     """
-    nb = len(lam)
-    d = lam + [0.0]
-    e = [0.0] * (nb + 1)  # e[k] couples k and k+1
-    if not nb:
-        return d
-    x = z[0]  # z_j, with z_0..z_(j-1) folded into it
-    for j in range(nb - 1):
-        y = z[j + 1]
-        if x == 0.0:  # nothing to fold into z_(j+1)
-            x = y
-            continue
-        r = hypot(x, y)
-        c = y / r
-        s = -x / r
-        x = r
-        p = j
-        while True:
-            # the rotation (c, s) in plane (p, p+1), on its 2 x 2 block
-            a = d[p]
-            b = d[p + 1]
-            f = e[p]
-            cc = c * c
-            ss = s * s
-            cs = c * s
-            t = 2.0 * cs * f
-            d[p] = cc * a + t + ss * b
-            d[p + 1] = ss * a - t + cc * b
-            e[p] = (cc - ss) * f + cs * (b - a)
-            if not p:
-                break
-            p -= 1
-            # row p now reaches column p+2; rotate plane (p, p+1) to fold
-            # that bulge into e[p+1]
-            bulge = -s * e[p]
-            e[p] *= c
-            if bulge == 0.0:
-                break
-            r = hypot(bulge, e[p + 1])
-            c = e[p + 1] / r
-            s = -bulge / r
-            e[p + 1] = r
-    e[nb - 1] = x
-    _implicit_ql(d, e)
-    d.sort()
+    from ..spectra import _adjacency_flat, _group
+
+    multiplicities = _yun_multiplicities(coeffs)
+    try:
+        values = jacobi_eigenvalues(_adjacency_flat(from_edge_mask(n, mask)), n)
+        groups = _group(values, len(multiplicities))
+    except SpectralResolutionError:
+        return 0, []
+    sizes = [size for _, size in reversed(groups)]
+    if tuple(sorted(sizes)) != multiplicities:
+        return 0, []
+    cuts = []
+    below = 0
+    for size in sizes[:-1]:
+        below += size
+        cuts.append(((values[below - 1] + values[below]) / 2, below))
+    return len(sizes), cuts
+
+
+@lru_cache(maxsize=4096)  # n = 7 has 988 distinct charpolys
+def _yun_multiplicities(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """``spectra._multiplicity_multiset`` of a charpoly, once per process:
+    the chunks of one sweep plan the same charpolys again."""
+    from ..spectra import CharPoly, _multiplicity_multiset
+
+    return tuple(_multiplicity_multiset(CharPoly(coeffs)))
+
+
+def _inertia_distinct(
+    lam: list[float], z: list[float], plan: tuple[int, list[tuple[float, int]]]
+) -> int:
+    """The plan's d when, below each of its separators t, the arrowhead
+    [[diag(lam), z], [z^T, 0]] (lam ascending) has the plan's number of
+    eigenvalues; 0 from the first t where it has not.
+
+    Below t it has #{lam_i < t} + [-t - Σ z_i² / (lam_i - t) < 0]
+    eigenvalues (Haynsworth, on the Schur complement of diag(lam) - tI).
+    A base eigenvalue on t, such as 0 between -1 and 1, is a pole of that
+    sum, so t first moves up by ulps until it is on none.  That keeps it
+    inside its gap, where the count does not change: below a pole lam_i
+    the sum's term z_i² / (lam_i - t) is huge and positive and counts
+    lam_i's eigenvalue through the Schur complement, above it lam_i
+    counts itself and the term is huge and negative.
+    """
+    d, cuts = plan
+    w = [x * x for x in z]
+    for t, below in cuts:
+        while t in lam:
+            t = nextafter(t, inf)
+        if bisect_left(lam, t) + (t + sum(map(truediv, w, [x - t for x in lam])) > 0) != below:
+            return 0
     return d
 
 
@@ -479,26 +491,32 @@ def sweep_masks(
     decomposes A_G = V Λ V^T once per base (Householder and implicit QL,
     reflectors and rotations accumulated).  Then (V ⊕ 1)^T A' (V ⊕ 1) is
     the arrowhead [[Λ, z], [z^T, 0]] with z = V^T s, and z follows the walk
-    like T: ± row u of V per flip, n - 1 float additions.
-    ``_bordered_eigenvalues`` takes the arrowhead to a tridiagonal with
-    (n-1)(n-2)/2 Givens rotations and runs implicit QL on it.  Every step
-    is an orthogonal transformation carried out in floating point, V is
-    orthogonal to O(n ε), and z stays within 1e-13 of a fresh V^T s over a
-    whole walk (tested for n <= 8).  So the computed eigenvalues are those
-    of A' + E with ||E|| = O(n ε ||A'||): the same class of backward error
-    as Householder and QL on A' itself, and far inside the 1e-7 cluster
-    gap.  Each graph's eigenvalues still answer for its own matrix,
-    reached through its own border.
+    like T: ± row u of V per flip, n - 1 float additions.  The first graph
+    of each distinct charpoly fixes a plan (``_separator_plan``): its exact
+    distinct count d, and a separator in each of the d - 1 gaps between
+    its distinct eigenvalues, with the number of eigenvalues below it.
+    Every graph with that charpoly then has its arrowhead's eigenvalues
+    counted below each separator (``_inertia_distinct``, O(n) per
+    separator, stopping at the first miss) and records d when every count
+    is the plan's, else 0.
+
+    Those counts answer for each graph's own matrix.  V is orthogonal to
+    O(n ε), and z stays within 1e-13 of a fresh V^T s over a whole walk
+    (tested for n <= 8), so the arrowhead is an exactly orthogonal
+    similarity of A' + E with ||E|| = O(n ε ||A'||).  By Sylvester's law of
+    inertia it has as many eigenvalues below t as A' + E, and by Weyl's
+    inequality as many as A' while t stays more than ||E|| from every
+    eigenvalue of A'.  A graph with the plan's charpoly has the plan
+    graph's eigenvalues, so each separator lies half a gap from them.
 
     Still per graph: the degree vector (two entries per flip), the
-    degree-regularity test, the arrowhead eigensolve and the cluster count
-    at the fixed gap ``SWEEP_CLUSTER_TOL``.
+    degree-regularity test and the inertia counts.
 
     Returns (total, irregular_count, stats, regular_masks): stats maps
     the charpoly (the coefficient tuple of ``charpoly_adj``) ->
-    [graph_count, min_clusters, max_clusters]; regular_masks lists the
-    masks of the degree-regular graphs, base by base in walk order, for
-    full classification by the caller.
+    [graph_count, min_count, max_count] over the recorded counts, d or 0;
+    regular_masks lists the masks of the degree-regular graphs, base by
+    base in walk order, for full classification by the caller.
     """
     if not 1 <= n <= 8:
         raise ValueError("mask sweep supports 1 <= n <= 8")
@@ -514,8 +532,8 @@ def sweep_masks(
         u = nxt.bit_length() - 1
         gray = i ^ (i >> 1)
         walk.append((gray, u, 0 if i + 1 == 1 << nb else -1 if gray >> u & 1 else 1))
-    tol = SWEEP_CLUSTER_TOL
     stats: dict[int, list[int]] = {}
+    plans: dict[int, tuple[int, list[tuple[float, int]]]] = {}
     regular: list[int] = []
     for base in range(start, stop):
         adj = from_edge_mask(nb, base).adj
@@ -532,16 +550,19 @@ def sweep_masks(
             if deg.count(deg[nb]) == n:
                 regular.append(base | gray << shift)
             key = x_phi - q
-            clusters = cluster_count(_bordered_eigenvalues(lam, z), tol)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _separator_plan(n, base | gray << shift, _unpack_key(key, n, w))
+            distinct = _inertia_distinct(lam, z, plan)
             entry = stats.get(key)
             if entry is None:
-                stats[key] = [1, clusters, clusters]
+                stats[key] = [1, distinct, distinct]
             else:
                 entry[0] += 1
-                if clusters < entry[1]:
-                    entry[1] = clusters
-                if clusters > entry[2]:
-                    entry[2] = clusters
+                if distinct < entry[1]:
+                    entry[1] = distinct
+                if distinct > entry[2]:
+                    entry[2] = distinct
             if step:
                 p_u = adjugate[u]
                 if step > 0:

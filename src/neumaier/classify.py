@@ -809,12 +809,13 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     """Run the full labeled-graph sweep on n vertices.
 
     The kernel scans every edge mask (exact charpoly from the bordered
-    determinant, the numeric cluster count at its fixed gap
-    ``_kernels._slow.SWEEP_CLUSTER_TOL``, degree-regularity filter).  Each
+    determinant; inertia counts of the numeric eigenvalues below the
+    separators planned once per charpoly, which record the plan's distinct
+    count when they match and 0 when not; degree-regularity filter).  Each
     regular graph goes through the full classifier; the irregular graphs
     all take the verdicts of one representative, K_2 beside n - 2 isolated
     vertices.  The exact distinct count of each charpoly is its squarefree
-    degree (``spectra._distinct_from_key``); a cluster count that differs
+    degree (``spectra._distinct_from_key``); a recorded count that differs
     from it is tallied in ``cluster_mismatches``.
     Work is split into chunks of base graphs on n - 1 vertices, each with
     all 2^(n-1) borders: at most ``_CHUNK_GRAPHS`` graphs a chunk, and

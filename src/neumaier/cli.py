@@ -25,14 +25,6 @@ from typing import NoReturn
 
 import click
 
-from . import report as rpt
-from .classify import (
-    classify,
-    ordered_map,
-    refute_four_eigenvalues,
-    sweep_labeled,
-    sweep_verify,
-)
 from .errors import ConsistencyError, Graph6Error, SpectralResolutionError
 from .graphs import FAMILIES, decode_graph6, encode_graph6
 from .graphs import generate as generate_family
@@ -109,7 +101,10 @@ def _read_graphs(path: str):
 
 
 def _classify_record(g):
-    return rpt.class_report_json(classify(g))
+    from .classify import classify
+    from .report import class_report_json
+
+    return class_report_json(classify(g))
 
 
 @main.command()
@@ -121,6 +116,9 @@ def _classify_record(g):
 @click.option("--workers", default=1, show_default=True)
 def analyze(input, output, format, workers) -> None:
     """Classify each input graph and emit one report per line."""
+    from . import report as rpt
+    from .classify import ordered_map
+
     if workers < 1:
         _fail("workers must be >= 1")
     graphs = [g for _, g in _read_graphs(input)]
@@ -176,6 +174,9 @@ def generate(family, params, output) -> None:
 def sweep(n, input, output, format, workers) -> None:
     """Verify every theorem over a corpus or an exhaustive enumeration;
     exits 4 when any assertion fails."""
+    from . import report as rpt
+    from .classify import sweep_labeled, sweep_verify
+
     if (n is None) == (input is None):
         _fail("provide exactly one of --n or --input")
     if workers < 1:
@@ -226,6 +227,9 @@ def sweep(n, input, output, format, workers) -> None:
 def refute(k, theta, theta2, e, format) -> None:
     """Evaluate the four-distinct-eigenvalue refutation at one parameter
     point and print the derivation trail."""
+    from . import report as rpt
+    from .classify import refute_four_eigenvalues
+
     try:
         r = refute_four_eigenvalues(k, theta, theta2, e)
     except ValueError as exc:

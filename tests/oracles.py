@@ -17,7 +17,9 @@ A third keeps the labeled sweep's earlier per-mask scan, which the
 bordered-charpoly kernel must reproduce exactly.  It takes the charpoly,
 eigenvalues and cluster count of each graph from the package's
 single-graph kernels, which are checked against Faddeev-LeVerrier and
-LAPACK on their own.
+LAPACK on their own.  The kernel records the exact distinct count for a
+graph whose inertia counts match its plan, so the two agree when every
+graph's clusters give that count.
 
 A fourth keeps the earlier clustering of ``spectra.spectrum``: start
 at gap tolerance 1e-7 and, when that misses the exact distinct count,
@@ -49,7 +51,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from neumaier._kernels import charpoly_adj, cluster_count, jacobi_eigenvalues
-from neumaier._kernels._slow import SWEEP_CLUSTER_TOL
 from neumaier.cliques import ExtensionReport, cliques_of_order
 from neumaier.errors import ConsistencyError, SpectralResolutionError
 from neumaier.graphs import Graph, bits, from_edge_mask, from_edges
@@ -107,12 +108,17 @@ def faddeev_leverrier_charpoly(g: Graph) -> tuple[int, ...]:
     return tuple(c)
 
 
+#: gap at which ``reference_sweep_masks`` starts a new cluster; integer
+#: adjacency matrices at desk scale have far larger true gaps
+CLUSTER_GAP = 1e-7
+
+
 def reference_sweep_masks(
     n: int, masks: Iterable[int]
 ) -> tuple[int, int, dict[tuple[int, ...], tuple[int, int, int]], list[int]]:
     """The per-mask labeled sweep scan: for each edge mask, the charpoly
-    from scratch, the eigenvalues and their cluster count at the kernel's
-    fixed gap ``SWEEP_CLUSTER_TOL``, and a degree filter.  Returns (total,
+    from scratch, the eigenvalues and their cluster count at the fixed gap
+    ``CLUSTER_GAP``, and a degree filter.  Returns (total,
     irregular, stats, regular_masks) like ``sweep_masks``, stats as
     charpoly -> (count, min, max) and the regular masks ascending."""
     stats: dict[tuple[int, ...], list[int]] = {}
@@ -124,7 +130,7 @@ def reference_sweep_masks(
         if len({row.bit_count() for row in g.adj}) == 1:
             regular.append(mask)
         flat = [1.0 if g.has_edge(u, v) else 0.0 for u in range(n) for v in range(n)]
-        clusters = cluster_count(jacobi_eigenvalues(flat, n), SWEEP_CLUSTER_TOL)
+        clusters = cluster_count(jacobi_eigenvalues(flat, n), CLUSTER_GAP)
         entry = stats.setdefault(charpoly_adj(g.adj, n), [0, clusters, clusters])
         entry[0] += 1
         entry[1] = min(entry[1], clusters)

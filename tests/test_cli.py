@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import neumaier
-from neumaier import cli, spectra
+from neumaier import spectra
 from neumaier.classify import Analysis
 from neumaier.cli import main
 from neumaier.graphs import (
@@ -22,6 +23,9 @@ from neumaier.graphs import (
 )
 
 runner = CliRunner()
+# the module, not the function ``neumaier.classify`` of the same name: the
+# commands import what they call from it when they run
+classify_module = importlib.import_module("neumaier.classify")
 
 
 def invoke(args, **kw):
@@ -198,15 +202,42 @@ def test_process_pools_are_bounded_by_tasks_and_cpus(serial_pool, monkeypatch):
     assert serial_pool == [(3, 3)]
 
 
-def test_cli_import_leaves_the_process_pool_out():
-    # only runs that make a pool of two or more processes load it; the
-    # tests above with several workers still cover it
+def fresh_interpreter(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter on this package."""
     src = Path(neumaier.__file__).resolve().parent.parent
-    code = "import sys, neumaier.cli; print('concurrent.futures.process' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only runs that make a pool of two or more processes load it; the
+    # tests above with several workers still cover it
+    code = "import sys, neumaier.cli; print('concurrent.futures.process' in sys.modules)"
+    assert fresh_interpreter(code) == "False"
+
+
+def test_cli_import_leaves_the_classifier_out():
+    # --help and generate need neither the classifier nor the kernels; the
+    # submodule classify, once imported, leaves the function on the package
+    code = (
+        "import sys, neumaier.cli\n"
+        "print(sorted({'neumaier.classify', 'neumaier.spectra', 'neumaier._kernels._slow'}"
+        " & set(sys.modules)))\n"
+        "import neumaier.classify\n"
+        "print(neumaier.classify is sys.modules['neumaier.classify'].classify)"
+    )
+    assert fresh_interpreter(code).splitlines() == ["[]", "True"]
+
+
+def test_package_exports_resolve_to_their_modules():
+    for name, module in neumaier._EXPORTS.items():
+        value = getattr(importlib.import_module(f"neumaier.{module}"), name)
+        assert getattr(neumaier, name) is value, name
+    assert set(neumaier._EXPORTS) <= set(dir(neumaier))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        neumaier.no_such_name
 
 
 def test_sweep_reports_time_and_throughput(tmp_path):
@@ -228,14 +259,14 @@ def test_sweep_reports_time_and_throughput(tmp_path):
 def test_sweep_verdict_is_the_exit_code(monkeypatch):
     # a strictly Neumaier sighting fails an exhaustive sweep even with
     # six distinct eigenvalues; every format reports the verdict it exits on
-    real = cli.sweep_labeled
+    real = classify_module.sweep_labeled
 
     def with_sighting(n, workers):
         result = real(n, workers)
         result.aggregate.strictly_neumaier.append(("C~", 6))
         return result
 
-    monkeypatch.setattr(cli, "sweep_labeled", with_sighting)
+    monkeypatch.setattr(classify_module, "sweep_labeled", with_sighting)
     res = invoke(["sweep", "--n", "4", "--workers", "1"])
     assert res.exit_code == 4
     assert res.output.splitlines()[-2] == "verdict: FAILED"
@@ -345,7 +376,7 @@ def test_missing_input_file_exits_2(tmp_path, command):
 
 def test_unwritable_output_file_exits_2(tmp_path, monkeypatch):
     # a sweep finds out before it runs
-    monkeypatch.setattr(cli, "sweep_labeled", lambda *a: pytest.fail("the sweep ran"))
+    monkeypatch.setattr(classify_module, "sweep_labeled", lambda *a: pytest.fail("the sweep ran"))
     for out in (str(tmp_path / "nodir" / "x.json"), ""):
         message = f"cannot write {out}: No such file or directory"
         assert_one_line_exit_2(invoke(["analyze", "--output", out], input="Bw\n"), message)

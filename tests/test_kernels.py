@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import oracles
 from neumaier import _kernels as kernel
@@ -317,11 +318,14 @@ def test_sweep_masks_matches_per_mask_scan_seeded_n7_n8():
 
 
 def assert_bordered_eigenvalues(base):
-    """The base's decomposition A = V diag(lam) V^T, and for every border s
-    the arrowhead eigenvalues with z = V^T s against LAPACK on the bordered
-    adjacency matrix."""
+    """The base's decomposition A = V diag(lam) V^T with lam ascending, and
+    for every border s the inertia count of the arrowhead with z = V^T s
+    against LAPACK on the bordered adjacency matrix: below every LAPACK
+    eigenvalue +- 1e-6 and below each half-integer in [-n, n] that lies
+    clear of them."""
     nb = base.n
     lam, v_rows = kernel._slow._base_eigensystem(list(base.adj), nb)
+    assert lam == sorted(lam)
     a = oracles.adjacency_matrix(base)
     v = np.array(v_rows).reshape(nb, nb)
     assert np.allclose(v @ np.diag(lam) @ v.T, a, rtol=0, atol=1e-13)
@@ -330,9 +334,17 @@ def assert_bordered_eigenvalues(base):
     full = np.zeros((1 << nb, nb + 1, nb + 1))
     full[:, :nb, :nb] = a
     full[:, :nb, nb] = full[:, nb, :nb] = borders.reshape(1 << nb, nb)
+    halves = np.arange(-2 * nb - 2, 2 * nb + 3) / 2
     for s, expect in zip(borders, np.linalg.eigvalsh(full)):
-        got = kernel._slow._bordered_eigenvalues(lam, (s @ v).tolist())
-        assert np.allclose(got, expect, rtol=0, atol=1e-12), (nb, s)
+        clear = halves[np.abs(halves[:, None] - expect).min(axis=1) > 1e-3]
+        grid = np.concatenate([expect - 1e-6, expect + 1e-6, clear])
+        z = (s @ v).tolist()
+        for t in grid.tolist():
+            below = int((expect < t).sum())
+            # a one-separator plan: d = 1 comes back when the count is below
+            assert kernel._slow._inertia_distinct(lam, z, (1, [(t, below)])) == 1, (nb, s, t)
+        # and 0 when the plan's count is off
+        assert kernel._slow._inertia_distinct(lam, z, (1, [(t, below + 1)])) == 0, (nb, s, t)
 
 
 def test_bordered_eigenvalues_match_lapack_exhaustive_n6():
@@ -352,13 +364,58 @@ def test_bordered_eigenvalues_on_repeated_base_eigenvalues():
         assert_bordered_eigenvalues(base)
 
 
+def test_inertia_count_on_a_base_eigenvalue_takes_the_guard():
+    """K_2 beside an isolated vertex has eigenvalues -1, 0, 1; bordering
+    the isolated vertex gives 2K_2, with -1 and 1 twice each.  Its
+    separator 0 is a base eigenvalue, a pole of Haynsworth's sum, so it
+    moves off the pole before the count, which still gives d = 2."""
+    slow = kernel._slow
+    lam, z = [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]
+    for t in (0.0, -0.5, 0.5):
+        assert slow._inertia_distinct(lam, z, (2, [(t, 2)])) == 2, t
+        # and a plan with another count below t misses
+        assert slow._inertia_distinct(lam, z, (2, [(t, 1)])) == 0, t
+        assert slow._inertia_distinct(lam, z, (2, [(t, 3)])) == 0, t
+    # a pole repeated one ulp apart: t passes both, with no division by zero
+    lam = [-1.0, 0.0, math.nextafter(0.0, 1.0), 1.0]
+    assert slow._inertia_distinct(lam, [0.0, 1.0, 1.0, 0.0], (1, [(0.0, 2)])) in (0, 1)
+    # the plan the sweep builds for 2K_2 has its separator on that pole
+    mask = 1 | 1 << 5  # edges {0, 1} and {2, 3}
+    coeffs = kernel.charpoly_adj(from_edge_mask(4, mask).adj, 4)
+    d, cuts = slow._separator_plan(4, mask, coeffs)
+    assert (d, [below for _, below in cuts]) == (2, [2])
+    assert abs(cuts[0][0]) < 1e-12
+
+
+def test_falsified_plan_fails_the_sweep(monkeypatch):
+    """Negative control: every plan whose first multiplicity is one too
+    large must show as cluster mismatches, fail the sweep and exit 4."""
+    from neumaier.classify import sweep_labeled
+    from neumaier.cli import main
+
+    slow = kernel._slow
+    plan = slow._separator_plan
+
+    def falsified(n, mask, coeffs):
+        d, cuts = plan(n, mask, coeffs)
+        return d, [(t, below + 1) for t, below in cuts]
+
+    monkeypatch.setattr(slow, "_separator_plan", falsified)
+    result = sweep_labeled(5, workers=1)
+    # all but the empty graph, whose one eigenvalue needs no separator
+    assert result.aggregate.cluster_mismatches == 1023
+    assert not result.aggregate.ok() and not result.ok()
+    res = CliRunner().invoke(main, ["sweep", "--n", "5", "--workers", "1"])
+    assert res.exit_code == 4, res.output
+
+
 def test_sweep_border_vector_tracks_a_fresh_product(monkeypatch):
     """``sweep_masks`` keeps z by adding and subtracting rows of V along
     the Gray walk; at every border, the last one included, z stays within
     1e-13 of a freshly computed V^T s."""
     slow = kernel._slow
     base_eigensystem = slow._base_eigensystem
-    bordered_eigenvalues = slow._bordered_eigenvalues
+    inertia_distinct = slow._inertia_distinct
     seen = []  # (V, the z of every border in walk order), one per base
 
     def record_base(adj, nb):
@@ -366,12 +423,12 @@ def test_sweep_border_vector_tracks_a_fresh_product(monkeypatch):
         seen.append((np.array(v_rows).reshape(nb, nb), []))
         return lam, v_rows
 
-    def record_border(lam, z):
+    def record_border(lam, z, plan):
         seen[-1][1].append(list(z))
-        return bordered_eigenvalues(lam, z)
+        return inertia_distinct(lam, z, plan)
 
     monkeypatch.setattr(slow, "_base_eigensystem", record_base)
-    monkeypatch.setattr(slow, "_bordered_eigenvalues", record_border)
+    monkeypatch.setattr(slow, "_inertia_distinct", record_border)
     rng = random.Random(1995)
     ranges = [(7, 0, 2), (7, 32766, 32768), (8, 0, 1), (8, (1 << 21) - 1, 1 << 21)]
     for n in (7, 8):
