@@ -18,8 +18,13 @@ each bordered matrix A' is orthogonally similar to the arrowhead
 [[Λ, z], [z^T, 0]] with z = V^T s.  Its eigenvalues are counted, not
 solved for: below a separator t they number #{λ_i < t} plus one when
 -t - Σ z_i² / (λ_i - t) < 0 (Haynsworth's inertia formula on the Schur
-complement), O(n) per t.  Each distinct charpoly gets one plan of
-separators from one eigensolve (see ``sweep_masks``).
+complement), O(n) per t.
+
+Two tables live for the whole process, both behind ``lru_cache`` so
+``cache_clear`` empties them: φ_G, the adjugate and (Λ, V) are solved
+once per isomorphism class of base graphs (``_class_data``) and
+permuted onto each base (``_base_data``), and each distinct charpoly
+gets one plan of separators from one eigensolve (``_plans``).
 
 The package re-exports these functions from ``neumaier._kernels``.  The
 module path and the function names stay as they are because the
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import permutations, product
 from math import comb, copysign, hypot, inf, isqrt, nextafter, sqrt
 from operator import add, mul, sub, truediv
 from typing import Iterator
@@ -327,17 +333,28 @@ def _separator_plan(
     a cut gap.  The cluster sizes must be Yun's multiplicities, as in
     ``spectra.spectrum``; when they are not, or no gap threshold splits
     the values, the plan is (0, []), which no graph's exact count equals.
-    """
-    from ..spectra import _adjacency_flat, _group
 
-    multiplicities = _yun_multiplicities(coeffs)
+    ``sweep_masks`` keeps one plan per charpoly for the whole process
+    (``_plans``), built from whichever graph with that charpoly a sweep
+    meets first, in whichever chunk.  The outcome does not depend on that
+    graph.  Graphs with one charpoly have the same exact eigenvalues, so
+    a plan that passes the check above has the same d and the same counts
+    below its separators whichever graph built it, and its separators
+    differ only by that graph's roundoff, O(n ε), so each stays about half
+    a gap from every eigenvalue of every graph it is used on.  A plan of
+    (0, []) fails every graph of its charpoly, which the sweep reports as
+    mismatches; no charpoly with n <= 7 gets one.
+    """
+    from ..spectra import CharPoly, _adjacency_flat, _group, _multiplicity_multiset
+
+    multiplicities = _multiplicity_multiset(CharPoly(coeffs))
     try:
         values = jacobi_eigenvalues(_adjacency_flat(from_edge_mask(n, mask)), n)
         groups = _group(values, len(multiplicities))
     except SpectralResolutionError:
         return 0, []
     sizes = [size for _, size in reversed(groups)]
-    if tuple(sorted(sizes)) != multiplicities:
+    if sorted(sizes) != multiplicities:
         return 0, []
     cuts = []
     below = 0
@@ -347,13 +364,86 @@ def _separator_plan(
     return len(sizes), cuts
 
 
-@lru_cache(maxsize=4096)  # n = 7 has 988 distinct charpolys
-def _yun_multiplicities(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """``spectra._multiplicity_multiset`` of a charpoly, once per process:
-    the chunks of one sweep plan the same charpolys again."""
-    from ..spectra import CharPoly, _multiplicity_multiset
+@lru_cache(maxsize=None)  # one table for each n <= 8
+def _plans(n: int) -> dict[int, tuple[int, list[tuple[float, int]]]]:
+    """The separator plans of n-vertex charpolys built in this process,
+    by packed charpoly key (``sweep_masks``)."""
+    return {}
 
-    return tuple(_multiplicity_multiset(CharPoly(coeffs)))
+
+def _canonical_form(adj: tuple[int, ...], nb: int) -> tuple[int, list[int]]:
+    """(mask, perm) for the nb-vertex graph with neighbour bitsets ``adj``:
+    mask is the least edge mask over the relabelings that list the
+    vertices in ascending degree order, every order tried within a degree
+    class, and perm maps each vertex to its label there, so that u ~ v
+    exactly when perm[u] ~ perm[v] in the graph of mask.
+
+    The relabelings tried are the same set for every labeling of a graph,
+    so isomorphic graphs get one mask.  This is the partition refinement
+    of B. D. McKay and A. Piperno, "Practical graph isomorphism, II",
+    J. Symb. Comput. 60 (2014), stopped at the degrees, with exhaustive
+    search inside the cells.  The columns of a relabeled mask are compared
+    from the top, the last vertex's pairs first, and an order stops at the
+    first column above the best mask.
+    """
+    deg = [a.bit_count() for a in adj]
+    classes = [[u for u in range(nb) if deg[u] == d] for d in sorted(set(deg))]
+    offsets = [j * (j - 1) // 2 for j in range(nb)]
+    best, best_order = 1 << (nb * (nb - 1) // 2), []  # above every mask
+    for parts in product(*map(permutations, classes)):
+        order = [u for part in parts for u in part]
+        top = 0  # the mask's bits from column j up, shifted down to bit 0
+        for j in range(nb - 1, 0, -1):
+            row = adj[order[j]]
+            col = 0
+            for i in range(j):
+                if row >> order[i] & 1:
+                    col |= 1 << i
+            top = top << j | col
+            if top > best >> offsets[j]:
+                break
+        else:
+            if top < best:
+                best, best_order = top, order
+    perm = [0] * nb
+    for label, u in enumerate(best_order):
+        perm[u] = label
+    return best, perm
+
+
+@lru_cache(maxsize=None)  # nb = 7, the largest base, has 1,044 classes
+def _class_data(
+    nb: int, mask: int
+) -> tuple[int, list[list[int]], tuple[float, ...], list[tuple[float, ...]]]:
+    """(x φ packed, adjugate, lam, V) of the nb-vertex graph with edge
+    mask ``mask``, once per process: x φ(x) and the packed adjugate of
+    xI - A in the key lanes of (nb+1)-vertex charpolys (``_adjugate``),
+    and ``_base_eigensystem``.  Every caller shares the result, which
+    nothing writes to."""
+    adj = from_edge_mask(nb, mask).adj
+    nbrs = [[v for v in range(nb) if a >> v & 1] for a in adj]
+    c = charpoly_adj(adj, nb)
+    w = _lane_bits(nb + 1)
+    lam, v_rows = _base_eigensystem(adj, nb)
+    return _pack(c, w), _adjugate(nbrs, c, w), tuple(lam), v_rows
+
+
+def _base_data(
+    adj: tuple[int, ...], nb: int
+) -> tuple[int, list[list[int]], tuple[float, ...], list[tuple[float, ...]]]:
+    """``_class_data`` for the base graph with neighbour bitsets ``adj``,
+    taken from its canonical form and permuted onto its labels.
+
+    With P the permutation matrix of perm (``_canonical_form``), A = P^T C P
+    for the canonical graph's C.  Relabeling is a similarity, so φ and Λ
+    are C's, adj(xI - A) = P^T adj(xI - C) P exactly, entry (u, v) being
+    C's entry (perm[u], perm[v]), and V = P^T V_C diagonalises A, its row u
+    being row perm[u] of V_C.
+    """
+    mask, perm = _canonical_form(adj, nb)
+    x_phi, adjugate, lam, v_rows = _class_data(nb, mask)
+    rows = [adjugate[p] for p in perm]
+    return x_phi, [[row[p] for p in perm] for row in rows], lam, [v_rows[p] for p in perm]
 
 
 def _inertia_distinct(
@@ -467,9 +557,14 @@ def _adjugate(nbrs: list[list[int]], c: tuple[int, ...], w: int) -> list[list[in
     return rows
 
 
+#: graphs whose count missed that ``sweep_masks`` keeps as witnesses; the
+#: sweeps keep as many witnesses of each kind
+_MAX_WITNESSES = 32
+
+
 def sweep_masks(
     n: int, start: int, stop: int
-) -> tuple[int, int, dict[tuple[int, ...], list[int]], list[int]]:
+) -> tuple[int, int, dict[tuple[int, ...], list[int]], list[int], list[int]]:
     """Scan every labeled n-vertex graph whose base mask is in [start, stop).
 
     Edge mask bit t is the t-th vertex pair (i, j), i < j, in column-major
@@ -478,27 +573,31 @@ def sweep_masks(
     base an (n-1)-vertex graph G and the border S the neighbourhood of
     vertex n-1.  Each base is decoded once, by ``graphs.from_edge_mask``
     on n - 1 vertices.  Per base, φ_G and the packed adjugate P of xI - A
-    are computed once, then the 2^(n-1) borders are walked in Gray-code order.
-    With s the indicator of S, the bordered (Schur complement) determinant
-    is det(xI - A') = x φ_G(x) - s^T adj(xI - A) s.  Per flip of vertex u
-    the kernel keeps T_v = sum_{i in S} P_iv (n - 1 additions) and
-    q = s^T P s (one more: +(2 T_u + P_uu) on adding u, with T taken before,
-    -(2 T_u + P_uu) on removing it, with T taken after), and the key is
-    the packed x φ_G - q.  Distinct keys are decoded to coefficient tuples
-    once per call, with lanes wide enough for ``_coeff_bound``.
+    come from ``_base_data``, then the 2^(n-1) borders are walked in
+    Gray-code order.  With s the indicator of S, the bordered (Schur
+    complement) determinant is det(xI - A') = x φ_G(x) - s^T adj(xI - A) s.
+    Per flip of vertex u the kernel keeps T_v = sum_{i in S} P_iv (n - 1
+    additions) and q = s^T P s (one more: +(2 T_u + P_uu) on adding u, with
+    T taken before, -(2 T_u + P_uu) on removing it, with T taken after),
+    and the key is the packed x φ_G - q.  Distinct keys are decoded to
+    coefficient tuples once per call, with lanes wide enough for
+    ``_coeff_bound``.
 
-    The numeric side shares the base as well.  ``_base_eigensystem``
-    decomposes A_G = V Λ V^T once per base (Householder and implicit QL,
-    reflectors and rotations accumulated).  Then (V ⊕ 1)^T A' (V ⊕ 1) is
-    the arrowhead [[Λ, z], [z^T, 0]] with z = V^T s, and z follows the walk
-    like T: ± row u of V per flip, n - 1 float additions.  The first graph
-    of each distinct charpoly fixes a plan (``_separator_plan``): its exact
-    distinct count d, and a separator in each of the d - 1 gaps between
-    its distinct eigenvalues, with the number of eigenvalues below it.
-    Every graph with that charpoly then has its arrowhead's eigenvalues
-    counted below each separator (``_inertia_distinct``, O(n) per
-    separator, stopping at the first miss) and records d when every count
-    is the plan's, else 0.
+    The numeric side shares the base as well: ``_base_data`` also gives
+    A_G = V Λ V^T (Householder and implicit QL, reflectors and rotations
+    accumulated).  Then (V ⊕ 1)^T A' (V ⊕ 1) is the arrowhead
+    [[Λ, z], [z^T, 0]] with z = V^T s, and z follows the walk like T: ± row
+    u of V per flip, n - 1 float additions.  ``_base_data`` solves each
+    isomorphism class of bases once per process and permutes the solution
+    onto each base: at n = 6 the 1,024 bases fall into 34 classes, at n = 7
+    the 32,768 into 156.  Each distinct charpoly has one plan per process
+    (``_separator_plan``, kept in ``_plans``): its exact distinct count d,
+    and a separator in each of the d - 1 gaps between its distinct
+    eigenvalues, with the number of eigenvalues below it.  Every graph with
+    that charpoly has its own arrowhead's eigenvalues counted below each
+    separator (``_inertia_distinct``, O(n) per separator, stopping at the
+    first miss) and records d when every count is the plan's, else 0.
+    Neither table ever holds a count: each graph's is made from its own z.
 
     Those counts answer for each graph's own matrix.  V is orthogonal to
     O(n ε), and z stays within 1e-13 of a fresh V^T s over a whole walk
@@ -512,11 +611,13 @@ def sweep_masks(
     Still per graph: the degree vector (two entries per flip), the
     degree-regularity test and the inertia counts.
 
-    Returns (total, irregular_count, stats, regular_masks): stats maps
-    the charpoly (the coefficient tuple of ``charpoly_adj``) ->
+    Returns (total, irregular_count, stats, regular_masks, misses): stats
+    maps the charpoly (the coefficient tuple of ``charpoly_adj``) ->
     [graph_count, min_count, max_count] over the recorded counts, d or 0;
     regular_masks lists the masks of the degree-regular graphs, base by
-    base in walk order, for full classification by the caller.
+    base in walk order, for full classification by the caller; misses
+    lists the masks of the first ``_MAX_WITNESSES`` graphs, in the same
+    order, whose count missed and recorded 0.
     """
     if not 1 <= n <= 8:
         raise ValueError("mask sweep supports 1 <= n <= 8")
@@ -533,16 +634,13 @@ def sweep_masks(
         gray = i ^ (i >> 1)
         walk.append((gray, u, 0 if i + 1 == 1 << nb else -1 if gray >> u & 1 else 1))
     stats: dict[int, list[int]] = {}
-    plans: dict[int, tuple[int, list[tuple[float, int]]]] = {}
+    plans = _plans(n)
     regular: list[int] = []
+    misses: list[int] = []
     for base in range(start, stop):
         adj = from_edge_mask(nb, base).adj
-        nbrs = [[v for v in range(nb) if a >> v & 1] for a in adj]
-        c = charpoly_adj(adj, nb)
-        adjugate = _adjugate(nbrs, c, w)
-        x_phi = _pack(c, w)
-        lam, v_rows = _base_eigensystem(adj, nb)
-        deg = [len(row) for row in nbrs] + [0]
+        x_phi, adjugate, lam, v_rows = _base_data(adj, nb)
+        deg = [a.bit_count() for a in adj] + [0]
         t_row = [0] * nb
         q = 0
         z = [0.0] * nb
@@ -554,6 +652,8 @@ def sweep_masks(
             if plan is None:
                 plan = plans[key] = _separator_plan(n, base | gray << shift, _unpack_key(key, n, w))
             distinct = _inertia_distinct(lam, z, plan)
+            if not distinct and len(misses) < _MAX_WITNESSES:
+                misses.append(base | gray << shift)
             entry = stats.get(key)
             if entry is None:
                 stats[key] = [1, distinct, distinct]
@@ -577,4 +677,4 @@ def sweep_masks(
                 deg[nb] += step
     total = (stop - start) << nb
     keys = {_unpack_key(k, n, w): v for k, v in stats.items()}
-    return total, total - len(regular), keys, regular
+    return total, total - len(regular), keys, regular, misses

@@ -23,6 +23,7 @@ from time import perf_counter
 from typing import Iterable, Iterator
 
 from . import _kernels
+from ._kernels._slow import _MAX_WITNESSES
 from .cliques import (
     RegularCliques,
     extension_hypothesis_holds,
@@ -670,9 +671,6 @@ def classify_line_graph_neumaier(root: Graph) -> LineGraphReport:
 # ---------------------------------------------------------------------------
 # sweeps
 
-_MAX_WITNESSES = 32
-
-
 @dataclass
 class SweepAggregate:
     """Merged verdicts over a corpus: taxonomy bucket counts, the
@@ -687,6 +685,7 @@ class SweepAggregate:
     neumaier_four_count: int = 0
     strictly_neumaier: list[tuple[str, int]] = field(default_factory=list)
     cluster_mismatches: int = 0
+    cluster_mismatch_witnesses: list[str] = field(default_factory=list)
 
     def _stats(self, tid: str) -> dict[str, int]:
         return self.theorem_stats.setdefault(
@@ -736,6 +735,8 @@ class SweepAggregate:
         self.neumaier_four_count += other.neumaier_four_count
         self.strictly_neumaier.extend(other.strictly_neumaier)
         self.cluster_mismatches += other.cluster_mismatches
+        mine_w = self.cluster_mismatch_witnesses
+        mine_w.extend(other.cluster_mismatch_witnesses[: max(0, _MAX_WITNESSES - len(mine_w))])
 
     @property
     def violated_total(self) -> int:
@@ -744,7 +745,8 @@ class SweepAggregate:
     def ok(self) -> bool:
         """Every theorem outcome holds, no Neumaier graph shows four
         distinct eigenvalues, strictly Neumaier graphs (if any) have at
-        least five, and numeric clustering matched the exact counts."""
+        least five, and every graph's inertia counts gave its exact
+        distinct-eigenvalue count."""
         return (
             self.violated_total == 0
             and self.neumaier_four_count == 0
@@ -792,10 +794,12 @@ def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int]]:
     """Aggregate the graphs of one base range.  The verifiers answer every
     degree-irregular graph alike, so one irregular graph, K_2 beside n - 2
     isolated vertices, is classified and added once for all of them; each
-    regular graph is classified on its own."""
+    regular graph is classified on its own.  The graphs whose inertia
+    counts missed become graph6 witnesses."""
     n, start, stop = args
-    _, irregular, stats, regular = _kernels.sweep_masks(n, start, stop)
+    _, irregular, stats, regular, misses = _kernels.sweep_masks(n, start, stop)
     agg = SweepAggregate()
+    agg.cluster_mismatch_witnesses = [encode_graph6(from_edge_mask(n, m)) for m in misses]
     # the bucket is reported even at n <= 2, where no graph is irregular
     agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] = 0
     if irregular:
@@ -809,19 +813,25 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     """Run the full labeled-graph sweep on n vertices.
 
     The kernel scans every edge mask (exact charpoly from the bordered
-    determinant; inertia counts of the numeric eigenvalues below the
-    separators planned once per charpoly, which record the plan's distinct
-    count when they match and 0 when not; degree-regularity filter).  Each
-    regular graph goes through the full classifier; the irregular graphs
-    all take the verdicts of one representative, K_2 beside n - 2 isolated
-    vertices.  The exact distinct count of each charpoly is its squarefree
-    degree (``spectra._distinct_from_key``); a recorded count that differs
-    from it is tallied in ``cluster_mismatches``.
+    determinant of a base graph solved once per isomorphism class and
+    process; inertia counts of each graph's own numeric eigenvalues below
+    the separators planned once per charpoly and process, which record the
+    plan's distinct count when they match and 0 when not;
+    degree-regularity filter).  Each regular graph goes through the full
+    classifier; the irregular graphs all take the verdicts of one
+    representative, K_2 beside n - 2 isolated vertices.  The exact
+    distinct count of each charpoly is its squarefree degree
+    (``spectra._distinct_from_key``); every graph of a charpoly with a
+    recorded count that differs from it is tallied in
+    ``cluster_mismatches``, and the first ``_MAX_WITNESSES`` graphs in
+    the kernel's scan order whose own count missed are kept as witnesses.
     Work is split into chunks of base graphs on n - 1 vertices, each with
     all 2^(n-1) borders: at most ``_CHUNK_GRAPHS`` graphs a chunk, and
     about eight chunks for each process ``pool_size`` lets run, all mapped
     by ``ordered_map``.  The merged aggregate is independent of worker
-    count and chunking, and ``regular_masks`` is sorted ascending.
+    count and chunking, and so of which process solved a class or planned
+    a charpoly (``_kernels._slow._separator_plan``); ``regular_masks`` is
+    sorted ascending.
     """
     if not 1 <= n <= 8:
         raise ValueError("labeled sweeps support 1 <= n <= 8")

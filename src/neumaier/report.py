@@ -140,7 +140,7 @@ def class_report_json(rep: Analysis) -> dict[str, Any]:
 def aggregate_json(agg: SweepAggregate, ok: bool) -> dict[str, Any]:
     """The aggregate as a JSON object; ``ok`` is the sweep's verdict,
     the one its exit code reports."""
-    return {
+    doc = {
         "total": agg.total,
         "taxonomy": dict(sorted(agg.taxonomy_counts.items())),
         "distinct_histogram": {
@@ -159,6 +159,10 @@ def aggregate_json(agg: SweepAggregate, ok: bool) -> dict[str, Any]:
         "cluster_mismatches": agg.cluster_mismatches,
         "ok": ok,
     }
+    # a clean sweep's document keeps its shape
+    if agg.cluster_mismatches:
+        doc["cluster_mismatch_witnesses"] = sorted(agg.cluster_mismatch_witnesses)
+    return doc
 
 
 def aggregate_csv(agg: SweepAggregate) -> str:
@@ -197,6 +201,9 @@ def aggregate_human(agg: SweepAggregate, ok: bool) -> str:
             lines.append(f"  {g6} (distinct={d})")
     if agg.cluster_mismatches:
         lines.append(f"cluster/exact mismatches: {agg.cluster_mismatches}")
+        lines.append(
+            f"cluster mismatch witnesses: {' '.join(sorted(agg.cluster_mismatch_witnesses))}"
+        )
     for tid, ws in sorted(agg.violations.items()):
         lines.append(f"witnesses[{tid}]: {' '.join(sorted(ws))}")
     lines.append("verdict: " + ("all assertions hold" if ok else "FAILED"))

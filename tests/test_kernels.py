@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -11,6 +12,8 @@ from neumaier.graphs import (
     complement,
     complete,
     complete_multipartite,
+    edge_mask,
+    encode_graph6,
     from_edge_mask,
     from_edges,
     johnson2,
@@ -281,8 +284,9 @@ def test_cluster_count():
 
 def labeled_sweep(n, start, stop):
     """``sweep_masks`` over bases [start, stop) with stats as tuples, and
-    the edge masks that range covers."""
-    total, irregular, stats, regular = kernel.sweep_masks(n, start, stop)
+    the edge masks that range covers; no graph's count may miss."""
+    total, irregular, stats, regular, misses = kernel.sweep_masks(n, start, stop)
+    assert misses == []
     shift = (n - 1) * (n - 2) // 2
     borders = range(1 << (n - 1))
     masks = [base | border << shift for base in range(start, stop) for border in borders]
@@ -389,8 +393,11 @@ def test_inertia_count_on_a_base_eigenvalue_takes_the_guard():
 
 def test_falsified_plan_fails_the_sweep(monkeypatch):
     """Negative control: every plan whose first multiplicity is one too
-    large must show as cluster mismatches, fail the sweep and exit 4."""
-    from neumaier.classify import sweep_labeled
+    large must show as cluster mismatches, keep the first graphs whose
+    counts missed as witnesses, fail the sweep and exit 4.  Plans live for
+    the process, so the table is emptied before the falsified plans are
+    built, after a clean sweep has filled it, and again after them."""
+    from neumaier.classify import _MAX_WITNESSES, sweep_labeled
     from neumaier.cli import main
 
     slow = kernel._slow
@@ -400,13 +407,32 @@ def test_falsified_plan_fails_the_sweep(monkeypatch):
         d, cuts = plan(n, mask, coeffs)
         return d, [(t, below + 1) for t, below in cuts]
 
-    monkeypatch.setattr(slow, "_separator_plan", falsified)
-    result = sweep_labeled(5, workers=1)
-    # all but the empty graph, whose one eigenvalue needs no separator
-    assert result.aggregate.cluster_mismatches == 1023
-    assert not result.aggregate.ok() and not result.ok()
-    res = CliRunner().invoke(main, ["sweep", "--n", "5", "--workers", "1"])
-    assert res.exit_code == 4, res.output
+    json_sweep = ["sweep", "--n", "5", "--workers", "1", "--format", "json"]
+    res = CliRunner().invoke(main, json_sweep)
+    assert res.exit_code == 0 and "cluster_mismatch_witnesses" not in json.loads(res.output)
+    # scan order: bases ascending, each with its borders in Gray order; the
+    # empty graph comes first and is the only one whose count holds
+    scan = [base | (i ^ i >> 1) << 6 for base in range(1 << 6) for i in range(1 << 4)]
+    witnesses = sorted(encode_graph6(from_edge_mask(5, m)) for m in scan[1 : _MAX_WITNESSES + 1])
+    slow._plans.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(slow, "_separator_plan", falsified)
+            result = sweep_labeled(5, workers=1)
+            # all but the empty graph, whose one eigenvalue needs no separator
+            assert result.aggregate.cluster_mismatches == 1023
+            assert sorted(result.aggregate.cluster_mismatch_witnesses) == witnesses
+            assert not result.aggregate.ok() and not result.ok()
+            res = CliRunner().invoke(main, ["sweep", "--n", "5", "--workers", "1"])
+            assert res.exit_code == 4, res.output
+            assert "cluster mismatch witnesses: " + " ".join(witnesses) in res.output
+            res = CliRunner().invoke(main, json_sweep)
+            assert res.exit_code == 4, res.output
+            assert json.loads(res.output)["cluster_mismatch_witnesses"] == witnesses
+    finally:
+        slow._plans.cache_clear()
+    # no falsified plan reaches a later sweep, or a pool forked for one
+    assert sweep_labeled(5, workers=1).ok()
 
 
 def test_sweep_border_vector_tracks_a_fresh_product(monkeypatch):
@@ -414,20 +440,20 @@ def test_sweep_border_vector_tracks_a_fresh_product(monkeypatch):
     the Gray walk; at every border, the last one included, z stays within
     1e-13 of a freshly computed V^T s."""
     slow = kernel._slow
-    base_eigensystem = slow._base_eigensystem
+    base_data = slow._base_data
     inertia_distinct = slow._inertia_distinct
-    seen = []  # (V, the z of every border in walk order), one per base
+    seen = []  # (the V the base uses, the z of every border in walk order)
 
     def record_base(adj, nb):
-        lam, v_rows = base_eigensystem(adj, nb)
-        seen.append((np.array(v_rows).reshape(nb, nb), []))
-        return lam, v_rows
+        data = base_data(adj, nb)
+        seen.append((np.array(data[3]).reshape(nb, nb), []))
+        return data
 
     def record_border(lam, z, plan):
         seen[-1][1].append(list(z))
         return inertia_distinct(lam, z, plan)
 
-    monkeypatch.setattr(slow, "_base_eigensystem", record_base)
+    monkeypatch.setattr(slow, "_base_data", record_base)
     monkeypatch.setattr(slow, "_inertia_distinct", record_border)
     rng = random.Random(1995)
     ranges = [(7, 0, 2), (7, 32766, 32768), (8, 0, 1), (8, (1 << 21) - 1, 1 << 21)]
@@ -443,6 +469,73 @@ def test_sweep_border_vector_tracks_a_fresh_product(monkeypatch):
         assert len(seen) == stop - start
         for v, zs in seen:
             assert np.abs(np.array(zs) - borders @ v).max() <= 1e-13, (n, start)
+
+
+def test_canonical_form_relabels_each_base_onto_its_class():
+    """The permutation carries every base's edges exactly onto its
+    canonical mask, whose degrees ascend, and isomorphic bases share one
+    mask: 1, 1, 2, 4, 11, 34 and 156 classes on 0..6 vertices."""
+    for nb, classes in enumerate((1, 1, 2, 4, 11, 34, 156)):
+        seen = set()
+        for mask in range(1 << (nb * (nb - 1) // 2)):
+            g = from_edge_mask(nb, mask)
+            canonical, perm = kernel._slow._canonical_form(g.adj, nb)
+            assert sorted(perm) == list(range(nb))
+            relabeled = from_edges(nb, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert edge_mask(relabeled) == canonical, (nb, mask)
+            degrees = [relabeled.degree(u) for u in range(nb)]
+            assert degrees == sorted(degrees)
+            seen.add(canonical)
+        assert len(seen) == classes, nb
+
+
+def test_base_data_is_the_class_solution_permuted():
+    """Each base takes its class's x φ, adjugate and eigensystem permuted
+    onto its labels: the charpoly and the packed adjugate equal the base's
+    own, exactly, and V diagonalises the base's adjacency matrix."""
+    slow = kernel._slow
+    rng = random.Random(2114)
+    bases = [(nb, mask) for nb in range(6) for mask in range(1 << (nb * (nb - 1) // 2))]
+    bases += [(nb, rng.getrandbits(nb * (nb - 1) // 2)) for nb in (6, 7) for _ in range(150)]
+    for nb, mask in bases:
+        g = from_edge_mask(nb, mask)
+        x_phi, adjugate, lam, v_rows = slow._base_data(g.adj, nb)
+        c = kernel.charpoly_adj(g.adj, nb)
+        w = slow._lane_bits(nb + 1)
+        nbrs = [[v for v in range(nb) if g.has_edge(u, v)] for u in range(nb)]
+        assert x_phi == slow._pack(c, w)
+        assert adjugate == slow._adjugate(nbrs, c, w), (nb, mask)
+        if nb:
+            a = oracles.adjacency_matrix(g)
+            v = np.array(v_rows)
+            assert np.abs(a @ v - v * np.array(lam)).max() <= 1e-12, (nb, mask)
+            assert np.abs(v.T @ v - np.eye(nb)).max() <= 1e-12, (nb, mask)
+
+
+def test_sweep_plans_each_charpoly_and_solves_each_class_once(monkeypatch):
+    """At n = 6 one process builds one plan for each of the 151 distinct
+    charpolys and solves each of the 34 classes of 5-vertex bases once; a
+    second sweep in the process builds and solves nothing."""
+    from neumaier.classify import sweep_labeled
+
+    slow = kernel._slow
+    plan = slow._separator_plan
+    planned = []
+
+    def counted(n, mask, coeffs):
+        planned.append(coeffs)
+        return plan(n, mask, coeffs)
+
+    slow._plans.cache_clear()
+    slow._class_data.cache_clear()
+    monkeypatch.setattr(slow, "_separator_plan", counted)
+    first = sweep_labeled(6, workers=1)
+    assert len(planned) == len(set(planned)) == len(slow._plans(6)) == 151
+    assert slow._class_data.cache_info().misses == 34
+    planned.clear()
+    second = sweep_labeled(6, workers=1)
+    assert planned == [] and slow._class_data.cache_info().misses == 34
+    assert first.ok() and second.charpoly_stats == first.charpoly_stats
 
 
 def test_charpoly_key_lanes_hold_the_coefficient_bound():
