@@ -22,9 +22,8 @@ _EXPORTS = {
             verify_eigenvalue_sandwich verify_extension_theorem verify_hoffman_equivalence
             verify_minus_two_corollary verify_multipartite_boundary
             verify_no_four_eigenvalues verify_walk_regular_theorem"""),
-        ("cliques", """CliqueReport EquitableBipartition ExtensionReport cliques_of_order
-            extension_hypothesis_holds is_equitable_bipartition max_clique_order
-            maximal_cliques regular_cliques"""),
+        ("cliques", """CliqueReport ExtensionReport cliques_of_order
+            extension_hypothesis_holds max_clique_order maximal_cliques regular_cliques"""),
         ("errors", "ConsistencyError DegenerateSpectrumError Graph6Error SpectralResolutionError"),
         ("graphs", """FAMILIES Graph complement complete complete_multipartite components
             cycle decode_graph6 diameter edge_mask encode_graph6 from_edge_mask from_edges

@@ -24,14 +24,16 @@ Two tables live for the whole process, both behind ``lru_cache`` so
 ``cache_clear`` empties them: φ_G, the adjugate and (Λ, V) are solved
 once per isomorphism class of base graphs (``_class_data``) and
 permuted onto each base (``_base_data``), and each distinct charpoly
-gets one plan of separators from one eigensolve (``_plans``).
+gets one plan of separators from the clusters of ``spectra.spectrum``
+on the first graph that has it (``_plans``).
 
 The package re-exports these functions from ``neumaier._kernels``.  The
 module path and the function names stay as they are because the
 benchmark's tracing looks them up: it wraps the names on
 ``neumaier._kernels`` and leaves this module unpatched, so the calls
-``sweep_masks`` makes to the charpoly and the eigensolver stay inside
-its one span.
+``sweep_masks`` makes to the charpoly and the eigensolver for its bases
+stay inside its one span.  Its plans go through ``spectra.spectrum``
+and show in that function's span and in the kernels' own.
 """
 
 from __future__ import annotations
@@ -320,48 +322,43 @@ def _base_eigensystem(adj: tuple[int, ...], nb: int) -> tuple[list[float], list[
     return [lam[k] for k in order], list(zip(*(zt[k] for k in order)))
 
 
-def _separator_plan(
-    n: int, mask: int, coeffs: tuple[int, ...]
-) -> tuple[int, list[tuple[float, int]]]:
-    """(d, cuts) for the charpoly ``coeffs`` of the n-vertex graph with
-    edge mask ``mask``: d is its exact distinct-eigenvalue count, and cuts
-    lists, ascending, a separator t between each two consecutive distinct
+def _separator_plan(n: int, mask: int) -> tuple[int, list[tuple[float, int]]]:
+    """(d, cuts) for the charpoly of the n-vertex graph with edge mask
+    ``mask``: d is its exact distinct-eigenvalue count, and cuts lists,
+    ascending, a separator t between each two consecutive distinct
     eigenvalues with the number of eigenvalues below it.
 
-    The graph's eigenvalues (``jacobi_eigenvalues``) are split at their
-    d - 1 widest gaps (``spectra._group``), and each t is the midpoint of
-    a cut gap.  The cluster sizes must be Yun's multiplicities, as in
-    ``spectra.spectrum``; when they are not, or no gap threshold splits
-    the values, the plan is (0, []), which no graph's exact count equals.
+    The clusters are ``spectra.spectrum``'s: its numeric eigenvalues
+    split at the d - 1 widest gaps, with sizes checked against Yun's
+    multiplicities.  Each t is the midpoint of two consecutive cluster
+    means, and the count below it the running sum of the sizes.  When
+    ``spectrum`` cannot resolve the graph, the plan is (0, []), which no
+    graph's exact count equals.
 
     ``sweep_masks`` keeps one plan per charpoly for the whole process
     (``_plans``), built from whichever graph with that charpoly a sweep
     meets first, in whichever chunk.  The outcome does not depend on that
     graph.  Graphs with one charpoly have the same exact eigenvalues, so
-    a plan that passes the check above has the same d and the same counts
+    a plan that ``spectrum`` resolves has the same d and the same counts
     below its separators whichever graph built it, and its separators
     differ only by that graph's roundoff, O(n ε), so each stays about half
     a gap from every eigenvalue of every graph it is used on.  A plan of
     (0, []) fails every graph of its charpoly, which the sweep reports as
     mismatches; no charpoly with n <= 7 gets one.
     """
-    from ..spectra import CharPoly, _adjacency_flat, _group, _multiplicity_multiset
+    from ..spectra import spectrum  # spectra imports this package
 
-    multiplicities = _multiplicity_multiset(CharPoly(coeffs))
     try:
-        values = jacobi_eigenvalues(_adjacency_flat(from_edge_mask(n, mask)), n)
-        groups = _group(values, len(multiplicities))
+        spec = spectrum(from_edge_mask(n, mask))
     except SpectralResolutionError:
         return 0, []
-    sizes = [size for _, size in reversed(groups)]
-    if sorted(sizes) != multiplicities:
-        return 0, []
+    groups = spec.eigs[::-1]
     cuts = []
     below = 0
-    for size in sizes[:-1]:
+    for (low, size), (high, _) in zip(groups, groups[1:]):
         below += size
-        cuts.append(((values[below - 1] + values[below]) / 2, below))
-    return len(sizes), cuts
+        cuts.append(((low + high) / 2, below))
+    return spec.distinct_count, cuts
 
 
 @lru_cache(maxsize=None)  # one table for each n <= 8
@@ -650,7 +647,7 @@ def sweep_masks(
             key = x_phi - q
             plan = plans.get(key)
             if plan is None:
-                plan = plans[key] = _separator_plan(n, base | gray << shift, _unpack_key(key, n, w))
+                plan = plans[key] = _separator_plan(n, base | gray << shift)
             distinct = _inertia_distinct(lam, z, plan)
             if not distinct and len(misses) < _MAX_WITNESSES:
                 misses.append(base | gray << shift)

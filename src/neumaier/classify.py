@@ -791,19 +791,14 @@ _CHUNK_GRAPHS = 1 << 16
 
 
 def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int]]:
-    """Aggregate the graphs of one base range.  The verifiers answer every
-    degree-irregular graph alike, so one irregular graph, K_2 beside n - 2
-    isolated vertices, is classified and added once for all of them; each
-    regular graph is classified on its own.  The graphs whose inertia
-    counts missed become graph6 witnesses."""
+    """Scan one base range: the aggregate of its regular graphs, each
+    classified on its own, with the graphs whose inertia counts missed as
+    graph6 witnesses, and the kernel's charpoly stats and regular masks.
+    ``sweep_labeled`` adds the irregular graphs once for all chunks."""
     n, start, stop = args
-    _, irregular, stats, regular, misses = _kernels.sweep_masks(n, start, stop)
+    _, _, stats, regular, misses = _kernels.sweep_masks(n, start, stop)
     agg = SweepAggregate()
     agg.cluster_mismatch_witnesses = [encode_graph6(from_edge_mask(n, m)) for m in misses]
-    # the bucket is reported even at n <= 2, where no graph is irregular
-    agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] = 0
-    if irregular:
-        agg.add_report(classify(from_edges(n, [(0, 1)])), count=irregular)
     for mask in regular:
         agg.add_report(classify(from_edge_mask(n, mask)))
     return agg, stats, regular
@@ -818,11 +813,13 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     the separators planned once per charpoly and process, which record the
     plan's distinct count when they match and 0 when not;
     degree-regularity filter).  Each regular graph goes through the full
-    classifier; the irregular graphs all take the verdicts of one
-    representative, K_2 beside n - 2 isolated vertices.  The exact
-    distinct count of each charpoly is its squarefree degree
-    (``spectra._distinct_from_key``); every graph of a charpoly with a
-    recorded count that differs from it is tallied in
+    classifier in its chunk.  The verifiers answer every degree-irregular
+    graph alike, so after the merge the irregular graphs, all
+    2^(n(n-1)/2) but the regular ones, take the verdicts of one
+    representative, K_2 beside n - 2 isolated vertices, classified once
+    per sweep.  The exact distinct count of each charpoly is its
+    squarefree degree (``spectra._distinct_from_key``); every graph of a
+    charpoly with a recorded count that differs from it is tallied in
     ``cluster_mismatches``, and the first ``_MAX_WITNESSES`` graphs in
     the kernel's scan order whose own count missed are kept as witnesses.
     Work is split into chunks of base graphs on n - 1 vertices, each with
@@ -842,6 +839,8 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     chunk = max(1, min(_CHUNK_GRAPHS >> (n - 1), bases // (8 * pool_size(workers, bases))))
     args = [(n, s, min(s + chunk, bases)) for s in range(0, bases, chunk)]
     agg = SweepAggregate()
+    # the bucket is reported even at n <= 2, where no graph is irregular
+    agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] = 0
     stats: dict[tuple[int, ...], list[int]] = {}
     regular_masks: list[int] = []
     for part_agg, part_stats, part_regular in ordered_map(_labeled_chunk, args, workers, 1):
@@ -856,6 +855,9 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
                 entry[2] = max(entry[2], mx)
         regular_masks.extend(part_regular)
     regular_masks.sort()
+    irregular = (1 << n * (n - 1) // 2) - len(regular_masks)
+    if irregular:
+        agg.add_report(classify(from_edges(n, [(0, 1)])), count=irregular)
     for key, (count, mn, mx) in stats.items():
         exact = _distinct_from_key(key)
         agg.distinct_histogram[exact] = agg.distinct_histogram.get(exact, 0) + count

@@ -1,6 +1,6 @@
 """Clique enumeration over bitsets: maximal cliques (pivoting
-backtracking), regular-clique detection, equitable bipartitions with
-their 2x2 quotient, and the clique-extension hypothesis check.
+backtracking), regular-clique detection, and the clique-extension
+hypothesis check.
 
 A regular clique C of order c and nexus e in a k-regular graph makes
 {C, V\\C} an equitable bipartition with quotient [[c-1, k-c+1],
@@ -12,7 +12,6 @@ by this argument and is skipped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -31,13 +30,6 @@ class CliqueReport:
     is_maximal: bool
     is_regular: bool
     nexus: int | None
-
-
-@dataclass(frozen=True)
-class EquitableBipartition:
-    equitable: bool
-    quotient: tuple[tuple[int, int], tuple[int, int]] | None
-    eigenvalues: tuple[float, float] | None
 
 
 @dataclass(frozen=True)
@@ -152,25 +144,6 @@ def regular_cliques(g: Graph) -> RegularCliques:
                 "regular cliques of different orders in one edge-regular graph"
             )
     return out
-
-
-def is_equitable_bipartition(g: Graph, c: int) -> EquitableBipartition:
-    """Check that {C, V\\C} is an equitable partition and return the 2x2
-    quotient [[a, b], [cc, d]] with its closed-form eigenvalues."""
-    full = (1 << g.n) - 1
-    if c == 0 or c == full or c & ~full:
-        raise ValueError("bipartition side must be a proper nonempty subset")
-    rest = full ^ c
-    a_vals = {(g.adj[u] & c).bit_count() for u in bits(c)}
-    b_vals = {(g.adj[u] & rest).bit_count() for u in bits(c)}
-    cc_vals = {(g.adj[u] & c).bit_count() for u in bits(rest)}
-    d_vals = {(g.adj[u] & rest).bit_count() for u in bits(rest)}
-    if any(len(s) != 1 for s in (a_vals, b_vals, cc_vals, d_vals)):
-        return EquitableBipartition(False, None, None)
-    a, b, cc, d = a_vals.pop(), b_vals.pop(), cc_vals.pop(), d_vals.pop()
-    half = math.sqrt((a - d) * (a - d) + 4 * b * cc) / 2.0
-    mid = (a + d) / 2.0
-    return EquitableBipartition(True, ((a, b), (cc, d)), (mid + half, mid - half))
 
 
 def cliques_of_order(g: Graph, t: int) -> Iterator[int]:

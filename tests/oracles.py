@@ -32,9 +32,12 @@ non-adjacency, tested by brute force over all vertex triples.
 
 Three closed forms that only tests called stay here as references: the
 outside-adjacency counts of a clique, and the float clique-bound root s
-and nexus e of edge-regular parameters.  Three more pin the labels of the
-families the package builds as line graphs and complements: the rook
-graph on grid cells, J(n,2) and the Petersen graph on 2-subsets.
+and nexus e of edge-regular parameters.  So does the equitable
+bipartition {C, V\\C} with its 2x2 quotient and closed-form eigenvalues,
+which pins a regular clique's quotient eigenvalues k and c - 1 - e.
+Three more pin the labels of the families the package builds as line
+graphs and complements: the rook graph on grid cells, J(n,2) and the
+Petersen graph on 2-subsets.
 
 The eight strictly Neumaier Cayley graphs of Z2 x Z8 are found here by
 search over connection sets, so the spectra and classify tests share
@@ -46,6 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -366,6 +370,32 @@ def outside_counts(g: Graph, clique: int) -> list[int]:
         for x in range(g.n)
         if not clique >> x & 1
     ]
+
+
+@dataclass(frozen=True)
+class EquitableBipartition:
+    equitable: bool
+    quotient: tuple[tuple[int, int], tuple[int, int]] | None
+    eigenvalues: tuple[float, float] | None
+
+
+def is_equitable_bipartition(g: Graph, c: int) -> EquitableBipartition:
+    """Check that {C, V\\C} is an equitable partition and return the 2x2
+    quotient [[a, b], [cc, d]] with its closed-form eigenvalues."""
+    full = (1 << g.n) - 1
+    if c == 0 or c == full or c & ~full:
+        raise ValueError("bipartition side must be a proper nonempty subset")
+    rest = full ^ c
+    a_vals = {(g.adj[u] & c).bit_count() for u in bits(c)}
+    b_vals = {(g.adj[u] & rest).bit_count() for u in bits(c)}
+    cc_vals = {(g.adj[u] & c).bit_count() for u in bits(rest)}
+    d_vals = {(g.adj[u] & rest).bit_count() for u in bits(rest)}
+    if any(len(s) != 1 for s in (a_vals, b_vals, cc_vals, d_vals)):
+        return EquitableBipartition(False, None, None)
+    a, b, cc, d = a_vals.pop(), b_vals.pop(), cc_vals.pop(), d_vals.pop()
+    half = math.sqrt((a - d) * (a - d) + 4 * b * cc) / 2.0
+    mid = (a + d) / 2.0
+    return EquitableBipartition(True, ((a, b), (cc, d)), (mid + half, mid - half))
 
 
 def clique_bound_s(p) -> float:

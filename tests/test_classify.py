@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,13 @@ from neumaier.classify import (
     sweep_labeled,
     sweep_verify,
 )
-from neumaier.cliques import is_equitable_bipartition
 from neumaier.errors import ConsistencyError
 from neumaier.graphs import (
     complement,
     complete,
     complete_multipartite,
     cycle,
+    edge_mask,
     encode_graph6,
     from_edge_mask,
     from_edges,
@@ -382,7 +383,7 @@ def test_quotient_eigenvalues_in_spectrum():
         rep = classify(g)
         values = [v for v, _ in rep.spectrum.eigs]
         for clique in rep.regular_cliques:
-            eq = is_equitable_bipartition(g, clique.members)
+            eq = oracles.is_equitable_bipartition(g, clique.members)
             assert eq.equitable
             for ev in eq.eigenvalues:
                 assert any(abs(ev - v) < 1e-8 for v in values)
@@ -547,6 +548,26 @@ def test_sweep_labeled_matches_generic_sweep_n4():
     # empty bucket
     for n in (1, 2):
         assert sweep_labeled(n).aggregate.taxonomy_counts[Taxonomy.NOT_REGULAR.value] == 0
+
+
+def test_sweep_classifies_the_irregular_graphs_once(monkeypatch):
+    # at n = 6 the sweep classifies its 172 regular graphs and one
+    # representative for all 32,596 irregular ones, not one per chunk
+    module = sys.modules["neumaier.classify"]
+    inner = module.classify
+    calls = []
+
+    def counted(g):
+        calls.append(edge_mask(g))
+        return inner(g)
+
+    monkeypatch.setattr(module, "classify", counted)
+    result = sweep_labeled(6, workers=1)
+    assert len(result.regular_masks) == 172
+    assert sorted(calls) == sorted([*result.regular_masks, edge_mask(from_edges(6, [(0, 1)]))])
+    agg = result.aggregate
+    assert agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] == (1 << 15) - 172
+    assert agg.total == 1 << 15 and result.ok()
 
 
 def test_sweep_labeled_worker_independence():

@@ -385,8 +385,7 @@ def test_inertia_count_on_a_base_eigenvalue_takes_the_guard():
     assert slow._inertia_distinct(lam, [0.0, 1.0, 1.0, 0.0], (1, [(0.0, 2)])) in (0, 1)
     # the plan the sweep builds for 2K_2 has its separator on that pole
     mask = 1 | 1 << 5  # edges {0, 1} and {2, 3}
-    coeffs = kernel.charpoly_adj(from_edge_mask(4, mask).adj, 4)
-    d, cuts = slow._separator_plan(4, mask, coeffs)
+    d, cuts = slow._separator_plan(4, mask)
     assert (d, [below for _, below in cuts]) == (2, [2])
     assert abs(cuts[0][0]) < 1e-12
 
@@ -403,8 +402,8 @@ def test_falsified_plan_fails_the_sweep(monkeypatch):
     slow = kernel._slow
     plan = slow._separator_plan
 
-    def falsified(n, mask, coeffs):
-        d, cuts = plan(n, mask, coeffs)
+    def falsified(n, mask):
+        d, cuts = plan(n, mask)
         return d, [(t, below + 1) for t, below in cuts]
 
     json_sweep = ["sweep", "--n", "5", "--workers", "1", "--format", "json"]
@@ -433,6 +432,39 @@ def test_falsified_plan_fails_the_sweep(monkeypatch):
         slow._plans.cache_clear()
     # no falsified plan reaches a later sweep, or a pool forked for one
     assert sweep_labeled(5, workers=1).ok()
+
+
+def test_unresolvable_plan_fails_the_sweep(monkeypatch):
+    """Negative control: a plan graph that ``spectrum`` cannot resolve
+    gives the plan (0, []), which fails every graph of its charpoly.  The
+    classifier bound its own ``spectrum`` at import, so only the plans
+    see the patched one: at n = 4 all 64 graphs miss, the first 32 in
+    scan order are the witnesses, and the sweep exits 4."""
+    from neumaier import spectra
+    from neumaier.classify import _MAX_WITNESSES, sweep_labeled
+    from neumaier.cli import main
+    from neumaier.errors import SpectralResolutionError
+
+    slow = kernel._slow
+
+    def unresolvable(g):
+        raise SpectralResolutionError("no gap threshold resolves the plan graph")
+
+    scan = [base | (i ^ i >> 1) << 3 for base in range(1 << 3) for i in range(1 << 3)]
+    witnesses = sorted(encode_graph6(from_edge_mask(4, m)) for m in scan[:_MAX_WITNESSES])
+    slow._plans.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, "spectrum", unresolvable)
+            result = sweep_labeled(4, workers=1)
+            assert result.aggregate.cluster_mismatches == 64
+            assert sorted(result.aggregate.cluster_mismatch_witnesses) == witnesses
+            assert not result.aggregate.ok() and not result.ok()
+            res = CliRunner().invoke(main, ["sweep", "--n", "4", "--workers", "1"])
+            assert res.exit_code == 4, res.output
+    finally:
+        slow._plans.cache_clear()
+    assert sweep_labeled(4).ok()
 
 
 def test_sweep_border_vector_tracks_a_fresh_product(monkeypatch):
@@ -522,9 +554,9 @@ def test_sweep_plans_each_charpoly_and_solves_each_class_once(monkeypatch):
     plan = slow._separator_plan
     planned = []
 
-    def counted(n, mask, coeffs):
-        planned.append(coeffs)
-        return plan(n, mask, coeffs)
+    def counted(n, mask):
+        planned.append(kernel.charpoly_adj(from_edge_mask(n, mask).adj, n))
+        return plan(n, mask)
 
     slow._plans.cache_clear()
     slow._class_data.cache_clear()
