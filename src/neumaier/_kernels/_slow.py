@@ -18,14 +18,15 @@ each bordered matrix A' is orthogonally similar to the arrowhead
 [[Λ, z], [z^T, 0]] with z = V^T s.  Its eigenvalues are counted, not
 solved for: below a separator t they number #{λ_i < t} plus one when
 -t - Σ z_i² / (λ_i - t) < 0 (Haynsworth's inertia formula on the Schur
-complement), O(n) per t.
+complement), one division-sum per t.
 
-Two tables live for the whole process, both behind ``lru_cache`` so
-``cache_clear`` empties them: φ_G, the adjugate and (Λ, V) are solved
-once per isomorphism class of base graphs (``_class_data``) and
-permuted onto each base (``_base_data``), and each distinct charpoly
-gets one plan of separators from the clusters of ``spectra.spectrum``
-on the first graph that has it (``_plans``).
+Three tables live for the whole process, all behind ``lru_cache`` so
+``cache_clear`` empties them: φ_G, the adjugate and (Λ, V), solved once
+per isomorphism class of base graphs (``_class_data``) and permuted onto
+each base (``_base_data``); one plan of separators per distinct
+charpoly, from the clusters of ``spectra.spectrum`` on the first graph
+that has it (``_plans``); and that plan prepared against Λ once per
+(base class, charpoly) pair (``_geometries``).
 
 The package re-exports these functions from ``neumaier._kernels``.  The
 module path and the function names stay as they are because the
@@ -38,6 +39,7 @@ and show in that function's span and in the kernels' own.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import permutations, product
@@ -328,23 +330,18 @@ def _separator_plan(n: int, mask: int) -> tuple[int, list[tuple[float, int]]]:
     ascending, a separator t between each two consecutive distinct
     eigenvalues with the number of eigenvalues below it.
 
-    The clusters are ``spectra.spectrum``'s: its numeric eigenvalues
-    split at the d - 1 widest gaps, with sizes checked against Yun's
+    The clusters are ``spectra.spectrum``'s, whose sizes are Yun's
     multiplicities.  Each t is the midpoint of two consecutive cluster
     means, and the count below it the running sum of the sizes.  When
-    ``spectrum`` cannot resolve the graph, the plan is (0, []), which no
-    graph's exact count equals.
+    ``spectrum`` cannot resolve the graph, the plan is (0, []).
 
-    ``sweep_masks`` keeps one plan per charpoly for the whole process
-    (``_plans``), built from whichever graph with that charpoly a sweep
-    meets first, in whichever chunk.  The outcome does not depend on that
-    graph.  Graphs with one charpoly have the same exact eigenvalues, so
-    a plan that ``spectrum`` resolves has the same d and the same counts
-    below its separators whichever graph built it, and its separators
-    differ only by that graph's roundoff, O(n ε), so each stays about half
-    a gap from every eigenvalue of every graph it is used on.  A plan of
-    (0, []) fails every graph of its charpoly, which the sweep reports as
-    mismatches; no charpoly with n <= 7 gets one.
+    ``sweep_masks`` builds each plan from the first graph with its charpoly
+    that it meets, and the outcome does not depend on which: graphs with
+    one charpoly have the same exact eigenvalues, so a resolved plan has
+    the same d and counts whichever graph built it, and its separators
+    move only by that graph's roundoff, O(n ε), about half a gap from every
+    eigenvalue of every graph it serves.  A plan of (0, []) fails every
+    graph of its charpoly; no charpoly with n <= 7 gets one.
     """
     from ..spectra import spectrum  # spectra imports this package
 
@@ -365,6 +362,12 @@ def _separator_plan(n: int, mask: int) -> tuple[int, list[tuple[float, int]]]:
 def _plans(n: int) -> dict[int, tuple[int, list[tuple[float, int]]]]:
     """The separator plans of n-vertex charpolys built in this process,
     by packed charpoly key (``sweep_masks``)."""
+    return {}
+
+
+@lru_cache(maxsize=None)  # one table for each n <= 8
+def _geometries(n: int) -> dict[int, dict[int, tuple]]:
+    """``_prepare``d plans by base class mask, then by charpoly key."""
     return {}
 
 
@@ -425,11 +428,9 @@ def _class_data(
     return _pack(c, w), _adjugate(nbrs, c, w), tuple(lam), v_rows
 
 
-def _base_data(
-    adj: tuple[int, ...], nb: int
-) -> tuple[int, list[list[int]], tuple[float, ...], list[tuple[float, ...]]]:
-    """``_class_data`` for the base graph with neighbour bitsets ``adj``,
-    taken from its canonical form and permuted onto its labels.
+def _base_data(adj: tuple[int, ...], nb: int) -> tuple:
+    """The canonical mask of the base graph with neighbour bitsets ``adj``
+    and its class's ``_class_data``, permuted onto the base's labels.
 
     With P the permutation matrix of perm (``_canonical_form``), A = P^T C P
     for the canonical graph's C.  Relabeling is a similarity, so φ and Λ
@@ -440,31 +441,38 @@ def _base_data(
     mask, perm = _canonical_form(adj, nb)
     x_phi, adjugate, lam, v_rows = _class_data(nb, mask)
     rows = [adjugate[p] for p in perm]
-    return x_phi, [[row[p] for p in perm] for row in rows], lam, [v_rows[p] for p in perm]
+    return mask, x_phi, [[row[p] for p in perm] for row in rows], lam, [v_rows[p] for p in perm]
 
 
-def _inertia_distinct(
-    lam: list[float], z: list[float], plan: tuple[int, list[tuple[float, int]]]
-) -> int:
-    """The plan's d when, below each of its separators t, the arrowhead
-    [[diag(lam), z], [z^T, 0]] (lam ascending) has the plan's number of
-    eigenvalues; 0 from the first t where it has not.
+def _prepare(lam: tuple[float, ...], plan: tuple) -> tuple[int, list[tuple]]:
+    """(d, seps) for counting with ``plan`` against the ascending base
+    eigenvalues lam: per separator t, (t, need, den), need being the
+    plan's count below t less #{lam_i < t}, and den the lam_i - t.
 
-    Below t it has #{lam_i < t} + [-t - Σ z_i² / (lam_i - t) < 0]
-    eigenvalues (Haynsworth, on the Schur complement of diag(lam) - tI).
-    A base eigenvalue on t, such as 0 between -1 and 1, is a pole of that
+    A lam_i on t, such as 0 between -1 and 1, is a pole of Haynsworth's
     sum, so t first moves up by ulps until it is on none.  That keeps it
     inside its gap, where the count does not change: below a pole lam_i
-    the sum's term z_i² / (lam_i - t) is huge and positive and counts
-    lam_i's eigenvalue through the Schur complement, above it lam_i
-    counts itself and the term is huge and negative.
-    """
+    the term z_i² / (lam_i - t) is huge and positive and counts lam_i's
+    eigenvalue through the Schur complement, above it lam_i counts itself
+    and the term is huge and negative."""
     d, cuts = plan
-    w = [x * x for x in z]
+    seps = []
     for t, below in cuts:
         while t in lam:
             t = nextafter(t, inf)
-        if bisect_left(lam, t) + (t + sum(map(truediv, w, [x - t for x in lam])) > 0) != below:
+        seps.append((t, below - bisect_left(lam, t), array("d", [x - t for x in lam])))
+    return d, seps
+
+
+def _inertia_distinct(z: list[float], prepared: tuple[int, list[tuple]]) -> int:
+    """The plan's d when the arrowhead [[diag(lam), z], [z^T, 0]] has
+    #{lam_i < t} + need eigenvalues below each ``_prepare``d separator t,
+    that is when need = [-t - Σ z_i² / (lam_i - t) < 0] (Haynsworth, on
+    the Schur complement of diag(lam) - tI); 0 from the first t where not."""
+    d, seps = prepared
+    w = [x * x for x in z]
+    for t, need, den in seps:
+        if (t + sum(map(truediv, w, den)) > 0) != need:
             return 0
     return d
 
@@ -559,42 +567,36 @@ def _adjugate(nbrs: list[list[int]], c: tuple[int, ...], w: int) -> list[list[in
 _MAX_WITNESSES = 32
 
 
-def sweep_masks(
-    n: int, start: int, stop: int
-) -> tuple[int, int, dict[tuple[int, ...], list[int]], list[int], list[int]]:
+def sweep_masks(n: int, start: int, stop: int) -> tuple[dict, list[int], list[int]]:
     """Scan every labeled n-vertex graph whose base mask is in [start, stop).
 
     Edge mask bit t is the t-th vertex pair (i, j), i < j, in column-major
     (graph6) order: by j, then by i.  The pairs of vertex n-1 therefore
-    come last, so a mask is base | border << (n-1)(n-2)/2, with the
-    base an (n-1)-vertex graph G and the border S the neighbourhood of
-    vertex n-1.  Each base is decoded once, by ``graphs.from_edge_mask``
-    on n - 1 vertices.  Per base, φ_G and the packed adjugate P of xI - A
-    come from ``_base_data``, then the 2^(n-1) borders are walked in
-    Gray-code order.  With s the indicator of S, the bordered (Schur
-    complement) determinant is det(xI - A') = x φ_G(x) - s^T adj(xI - A) s.
-    Per flip of vertex u the kernel keeps T_v = sum_{i in S} P_iv (n - 1
-    additions) and q = s^T P s (one more: +(2 T_u + P_uu) on adding u, with
-    T taken before, -(2 T_u + P_uu) on removing it, with T taken after),
-    and the key is the packed x φ_G - q.  Distinct keys are decoded to
-    coefficient tuples once per call, with lanes wide enough for
-    ``_coeff_bound``.
+    come last, so a mask is base | border << (n-1)(n-2)/2, with the base
+    an (n-1)-vertex graph G and the border S the neighbourhood of vertex
+    n-1.  Per base, φ_G and the packed adjugate P of xI - A come from
+    ``_base_data``, then the 2^(n-1) borders are walked in Gray-code
+    order.  With s the indicator of S, the bordered (Schur complement)
+    determinant is det(xI - A') = x φ_G(x) - s^T adj(xI - A) s.  Per flip
+    of vertex u the kernel keeps T_v = sum_{i in S} P_iv (n - 1 additions)
+    and q = s^T P s (one more: +(2 T_u + P_uu) on adding u, with T taken
+    before, -(2 T_u + P_uu) on removing it, with T taken after), and the
+    key is the packed x φ_G - q.  Distinct keys are decoded to coefficient
+    tuples once per call, with lanes wide enough for ``_coeff_bound``.
 
     The numeric side shares the base as well: ``_base_data`` also gives
-    A_G = V Λ V^T (Householder and implicit QL, reflectors and rotations
-    accumulated).  Then (V ⊕ 1)^T A' (V ⊕ 1) is the arrowhead
+    A_G = V Λ V^T, so (V ⊕ 1)^T A' (V ⊕ 1) is the arrowhead
     [[Λ, z], [z^T, 0]] with z = V^T s, and z follows the walk like T: ± row
-    u of V per flip, n - 1 float additions.  ``_base_data`` solves each
-    isomorphism class of bases once per process and permutes the solution
-    onto each base: at n = 6 the 1,024 bases fall into 34 classes, at n = 7
-    the 32,768 into 156.  Each distinct charpoly has one plan per process
-    (``_separator_plan``, kept in ``_plans``): its exact distinct count d,
-    and a separator in each of the d - 1 gaps between its distinct
-    eigenvalues, with the number of eigenvalues below it.  Every graph with
-    that charpoly has its own arrowhead's eigenvalues counted below each
-    separator (``_inertia_distinct``, O(n) per separator, stopping at the
-    first miss) and records d when every count is the plan's, else 0.
-    Neither table ever holds a count: each graph's is made from its own z.
+    u of V per flip.  Each isomorphism class of bases is solved once per
+    process (34 classes at n = 6, 156 at n = 7), each distinct charpoly
+    gets one plan of separators with its exact distinct count d
+    (``_separator_plan``), and each (class, charpoly) pair that plan
+    prepared against Λ (``_prepare``: the separators moved off Λ, the
+    counts left to the Schur complement, 0 or 1, and the λ_i - t).  Each
+    graph counts its own arrowhead's eigenvalues below each separator
+    (``_inertia_distinct``, one division-sum each, to the first miss) and
+    records d when every count is the plan's, else 0.  No table holds a
+    graph's count: each is made from the graph's own z.
 
     Those counts answer for each graph's own matrix.  V is orthogonal to
     O(n ε), and z stays within 1e-13 of a fresh V^T s over a whole walk
@@ -605,16 +607,12 @@ def sweep_masks(
     eigenvalue of A'.  A graph with the plan's charpoly has the plan
     graph's eigenvalues, so each separator lies half a gap from them.
 
-    Still per graph: the degree vector (two entries per flip), the
-    degree-regularity test and the inertia counts.
-
-    Returns (total, irregular_count, stats, regular_masks, misses): stats
-    maps the charpoly (the coefficient tuple of ``charpoly_adj``) ->
-    [graph_count, min_count, max_count] over the recorded counts, d or 0;
-    regular_masks lists the masks of the degree-regular graphs, base by
-    base in walk order, for full classification by the caller; misses
-    lists the masks of the first ``_MAX_WITNESSES`` graphs, in the same
-    order, whose count missed and recorded 0.
+    Returns (stats, regular_masks, misses): stats maps the charpoly (the
+    coefficient tuple of ``charpoly_adj``) -> [graph_count, min_count,
+    max_count] over the recorded counts, d or 0; regular_masks lists the
+    masks of the degree-regular graphs, base by base in walk order, for
+    full classification by the caller; misses lists the masks of the first
+    ``_MAX_WITNESSES`` graphs, in the same order, whose count missed.
     """
     if not 1 <= n <= 8:
         raise ValueError("mask sweep supports 1 <= n <= 8")
@@ -632,11 +630,13 @@ def sweep_masks(
         walk.append((gray, u, 0 if i + 1 == 1 << nb else -1 if gray >> u & 1 else 1))
     stats: dict[int, list[int]] = {}
     plans = _plans(n)
+    geometries = _geometries(n)
     regular: list[int] = []
     misses: list[int] = []
     for base in range(start, stop):
         adj = from_edge_mask(nb, base).adj
-        x_phi, adjugate, lam, v_rows = _base_data(adj, nb)
+        cls, x_phi, adjugate, lam, v_rows = _base_data(adj, nb)
+        geometry = geometries.setdefault(cls, {})
         deg = [a.bit_count() for a in adj] + [0]
         t_row = [0] * nb
         q = 0
@@ -645,10 +645,12 @@ def sweep_masks(
             if deg.count(deg[nb]) == n:
                 regular.append(base | gray << shift)
             key = x_phi - q
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = _separator_plan(n, base | gray << shift)
-            distinct = _inertia_distinct(lam, z, plan)
+            prepared = geometry.get(key)
+            if prepared is None:
+                if key not in plans:
+                    plans[key] = _separator_plan(n, base | gray << shift)
+                prepared = geometry[key] = _prepare(lam, plans[key])
+            distinct = _inertia_distinct(z, prepared)
             if not distinct and len(misses) < _MAX_WITNESSES:
                 misses.append(base | gray << shift)
             entry = stats.get(key)
@@ -672,6 +674,4 @@ def sweep_masks(
                     z = list(map(sub, z, v_rows[u]))
                 deg[u] += step
                 deg[nb] += step
-    total = (stop - start) << nb
-    keys = {_unpack_key(k, n, w): v for k, v in stats.items()}
-    return total, total - len(regular), keys, regular, misses
+    return {_unpack_key(k, n, w): v for k, v in stats.items()}, regular, misses

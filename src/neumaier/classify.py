@@ -796,7 +796,7 @@ def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int]]:
     graph6 witnesses, and the kernel's charpoly stats and regular masks.
     ``sweep_labeled`` adds the irregular graphs once for all chunks."""
     n, start, stop = args
-    _, _, stats, regular, misses = _kernels.sweep_masks(n, start, stop)
+    stats, regular, misses = _kernels.sweep_masks(n, start, stop)
     agg = SweepAggregate()
     agg.cluster_mismatch_witnesses = [encode_graph6(from_edge_mask(n, m)) for m in misses]
     for mask in regular:

@@ -19,7 +19,9 @@ eigenvalues and cluster count of each graph from the package's
 single-graph kernels, which are checked against Faddeev-LeVerrier and
 LAPACK on their own.  The kernel records the exact distinct count for a
 graph whose inertia counts match its plan, so the two agree when every
-graph's clusters give that count.
+graph's clusters give that count.  The inertia count itself is checked
+against its earlier per-separator formula, which moved each separator
+off the base eigenvalues and counted them by bisection on every graph.
 
 A fourth keeps the earlier clustering of ``spectra.spectrum``: start
 at gap tolerance 1e-7 and, when that misses the exact distinct count,
@@ -48,8 +50,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from operator import truediv
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -140,6 +144,25 @@ def reference_sweep_masks(
         entry[1] = min(entry[1], clusters)
         entry[2] = max(entry[2], clusters)
     return total, total - len(regular), {k: tuple(v) for k, v in stats.items()}, regular
+
+
+def reference_inertia_distinct(
+    lam: tuple[float, ...], z: list[float], plan: tuple[int, list[tuple[float, int]]]
+) -> int:
+    """The plan's d when, below each separator t of ``plan``, the
+    arrowhead [[diag(lam), z], [z^T, 0]] (lam ascending) has the plan's
+    number of eigenvalues, #{lam_i < t} + [-t - Σ z_i² / (lam_i - t) < 0]
+    by Haynsworth's inertia formula; 0 from the first t where it has not.
+    A t on a base eigenvalue, a pole of the sum, first moves up by ulps
+    until it is on none."""
+    d, cuts = plan
+    w = [x * x for x in z]
+    for t, below in cuts:
+        while t in lam:
+            t = math.nextafter(t, math.inf)
+        if bisect_left(lam, t) + (t + sum(map(truediv, w, [x - t for x in lam])) > 0) != below:
+            return 0
+    return d
 
 
 def bisection_clusters(values_asc: list[float], d: int) -> list[tuple[float, int]]:

@@ -285,40 +285,84 @@ def test_cluster_count():
 def labeled_sweep(n, start, stop):
     """``sweep_masks`` over bases [start, stop) with stats as tuples, and
     the edge masks that range covers; no graph's count may miss."""
-    total, irregular, stats, regular, misses = kernel.sweep_masks(n, start, stop)
+    stats, regular, misses = kernel.sweep_masks(n, start, stop)
     assert misses == []
     shift = (n - 1) * (n - 2) // 2
     borders = range(1 << (n - 1))
     masks = [base | border << shift for base in range(start, stop) for border in borders]
-    return (total, irregular, {k: tuple(v) for k, v in stats.items()}, regular), masks
+    return ({k: tuple(v) for k, v in stats.items()}, regular), masks
 
 
-def test_sweep_masks_matches_per_mask_scan_exhaustive_n6():
-    for n in range(1, 7):
-        bases = 1 << ((n - 1) * (n - 2) // 2)
-        (total, irregular, stats, regular), masks = labeled_sweep(n, 0, bases)
-        assert sorted(masks) == list(range(1 << (n * (n - 1) // 2)))
-        # keys with their counts, the cluster range per key, and the
-        # brute-force degree filter
-        ref = oracles.reference_sweep_masks(n, masks)
-        assert (total, irregular, stats) == ref[:3]
-        assert sorted(regular) == ref[3]
-
-
-def test_sweep_masks_matches_per_mask_scan_seeded_n7_n8():
+def seeded_ranges():
+    """(n, start, stop) for the seeded n = 7 and 8 base ranges: the empty
+    and the complete base, whose borders reach K_n, and random ones."""
     rng = random.Random(2207)
     for n, width, draws in ((7, 4, 2), (8, 2, 2)):
         top = 1 << ((n - 1) * (n - 2) // 2)
-        # the empty and the complete base, whose borders reach K_n
         ranges = [(0, 1), (top - 1, top)]
         for _ in range(draws):
             start = rng.randrange(top - width)
             ranges.append((start, start + width))
         for start, stop in ranges:
-            (total, irregular, stats, regular), masks = labeled_sweep(n, start, stop)
-            ref = oracles.reference_sweep_masks(n, masks)
-            assert (total, irregular, stats) == ref[:3], (n, start)
-            assert sorted(regular) == ref[3]
+            yield n, start, stop
+
+
+def test_sweep_masks_matches_per_mask_scan_exhaustive_n6():
+    for n in range(1, 7):
+        bases = 1 << ((n - 1) * (n - 2) // 2)
+        (stats, regular), masks = labeled_sweep(n, 0, bases)
+        assert sorted(masks) == list(range(1 << (n * (n - 1) // 2)))
+        # keys with their counts, the cluster range per key, and the
+        # brute-force degree filter
+        ref = oracles.reference_sweep_masks(n, masks)
+        assert (len(masks), len(masks) - len(regular), stats) == ref[:3]
+        assert sorted(regular) == ref[3]
+
+
+def test_sweep_masks_matches_per_mask_scan_seeded_n7_n8():
+    for n, start, stop in seeded_ranges():
+        (stats, regular), masks = labeled_sweep(n, start, stop)
+        ref = oracles.reference_sweep_masks(n, masks)
+        assert (len(masks), len(masks) - len(regular), stats) == ref[:3], (n, start)
+        assert sorted(regular) == ref[3]
+
+
+def test_inertia_count_matches_the_reference_formula(monkeypatch):
+    """On every labeled graph with n <= 6 and on the seeded n = 7 and 8
+    ranges, the count from the prepared plan equals the earlier
+    per-separator formula's on the same plan, base eigenvalues and z, and
+    every need the sweep prepares is 0 or 1."""
+    slow = kernel._slow
+    prepare, inertia_distinct = slow._prepare, slow._inertia_distinct
+    sources = {}  # id of each prepared plan -> (it, lam, plan)
+    counts = []
+
+    def recorded(lam, plan):
+        prepared = prepare(lam, plan)
+        assert all(need in (0, 1) for _, need, _ in prepared[1]), plan
+        sources[id(prepared)] = prepared, lam, plan
+        return prepared
+
+    def compared(z, prepared):
+        count = inertia_distinct(z, prepared)
+        _, lam, plan = sources[id(prepared)]
+        assert count == oracles.reference_inertia_distinct(lam, z, plan), (lam, z, plan)
+        counts.append(count)
+        return count
+
+    slow._geometries.cache_clear()  # every plan the sweeps count with is prepared here
+    monkeypatch.setattr(slow, "_prepare", recorded)
+    monkeypatch.setattr(slow, "_inertia_distinct", compared)
+    ranges = [(n, 0, 1 << (n - 1) * (n - 2) // 2) for n in range(1, 7)] + list(seeded_ranges())
+    for n, start, stop in ranges:
+        slow.sweep_masks(n, start, stop)
+    assert len(counts) == sum((stop - start) << (n - 1) for n, start, stop in ranges)
+    assert all(counts)
+
+
+def inertia(lam, z, plan):
+    """The kernel's inertia count for z with ``plan`` prepared against lam."""
+    return kernel._slow._inertia_distinct(z, kernel._slow._prepare(lam, plan))
 
 
 def assert_bordered_eigenvalues(base):
@@ -346,9 +390,9 @@ def assert_bordered_eigenvalues(base):
         for t in grid.tolist():
             below = int((expect < t).sum())
             # a one-separator plan: d = 1 comes back when the count is below
-            assert kernel._slow._inertia_distinct(lam, z, (1, [(t, below)])) == 1, (nb, s, t)
+            assert inertia(lam, z, (1, [(t, below)])) == 1, (nb, s, t)
         # and 0 when the plan's count is off
-        assert kernel._slow._inertia_distinct(lam, z, (1, [(t, below + 1)])) == 0, (nb, s, t)
+        assert inertia(lam, z, (1, [(t, below + 1)])) == 0, (nb, s, t)
 
 
 def test_bordered_eigenvalues_match_lapack_exhaustive_n6():
@@ -376,13 +420,18 @@ def test_inertia_count_on_a_base_eigenvalue_takes_the_guard():
     slow = kernel._slow
     lam, z = [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]
     for t in (0.0, -0.5, 0.5):
-        assert slow._inertia_distinct(lam, z, (2, [(t, 2)])) == 2, t
+        assert inertia(lam, z, (2, [(t, 2)])) == 2, t
         # and a plan with another count below t misses
-        assert slow._inertia_distinct(lam, z, (2, [(t, 1)])) == 0, t
-        assert slow._inertia_distinct(lam, z, (2, [(t, 3)])) == 0, t
+        assert inertia(lam, z, (2, [(t, 1)])) == 0, t
+        assert inertia(lam, z, (2, [(t, 3)])) == 0, t
+    # prepared, the separator sits one ulp above the pole, with the two
+    # eigenvalues below it counted by bisection and none by the sum
+    ((t, need, den),) = slow._prepare(lam, (2, [(0.0, 2)]))[1]
+    assert (t, need, list(den)) == (math.nextafter(0.0, 1.0), 0, [-1.0, -t, 1.0])
     # a pole repeated one ulp apart: t passes both, with no division by zero
     lam = [-1.0, 0.0, math.nextafter(0.0, 1.0), 1.0]
-    assert slow._inertia_distinct(lam, [0.0, 1.0, 1.0, 0.0], (1, [(0.0, 2)])) in (0, 1)
+    assert inertia(lam, [0.0, 1.0, 1.0, 0.0], (1, [(0.0, 2)])) in (0, 1)
+    assert slow._prepare(lam, (1, [(0.0, 2)]))[1][0][0] == math.nextafter(lam[2], 1.0)
     # the plan the sweep builds for 2K_2 has its separator on that pole
     mask = 1 | 1 << 5  # edges {0, 1} and {2, 3}
     d, cuts = slow._separator_plan(4, mask)
@@ -393,9 +442,10 @@ def test_inertia_count_on_a_base_eigenvalue_takes_the_guard():
 def test_falsified_plan_fails_the_sweep(monkeypatch):
     """Negative control: every plan whose first multiplicity is one too
     large must show as cluster mismatches, keep the first graphs whose
-    counts missed as witnesses, fail the sweep and exit 4.  Plans live for
-    the process, so the table is emptied before the falsified plans are
-    built, after a clean sweep has filled it, and again after them."""
+    counts missed as witnesses, fail the sweep and exit 4.  Plans and
+    their prepared geometry live for the process, so both tables are
+    emptied before the falsified plans are built, after a clean sweep has
+    filled them, and again after them."""
     from neumaier.classify import _MAX_WITNESSES, sweep_labeled
     from neumaier.cli import main
 
@@ -414,6 +464,7 @@ def test_falsified_plan_fails_the_sweep(monkeypatch):
     scan = [base | (i ^ i >> 1) << 6 for base in range(1 << 6) for i in range(1 << 4)]
     witnesses = sorted(encode_graph6(from_edge_mask(5, m)) for m in scan[1 : _MAX_WITNESSES + 1])
     slow._plans.cache_clear()
+    slow._geometries.cache_clear()
     try:
         with monkeypatch.context() as patch:
             patch.setattr(slow, "_separator_plan", falsified)
@@ -430,6 +481,7 @@ def test_falsified_plan_fails_the_sweep(monkeypatch):
             assert json.loads(res.output)["cluster_mismatch_witnesses"] == witnesses
     finally:
         slow._plans.cache_clear()
+        slow._geometries.cache_clear()
     # no falsified plan reaches a later sweep, or a pool forked for one
     assert sweep_labeled(5, workers=1).ok()
 
@@ -453,6 +505,7 @@ def test_unresolvable_plan_fails_the_sweep(monkeypatch):
     scan = [base | (i ^ i >> 1) << 3 for base in range(1 << 3) for i in range(1 << 3)]
     witnesses = sorted(encode_graph6(from_edge_mask(4, m)) for m in scan[:_MAX_WITNESSES])
     slow._plans.cache_clear()
+    slow._geometries.cache_clear()
     try:
         with monkeypatch.context() as patch:
             patch.setattr(spectra, "spectrum", unresolvable)
@@ -464,6 +517,7 @@ def test_unresolvable_plan_fails_the_sweep(monkeypatch):
             assert res.exit_code == 4, res.output
     finally:
         slow._plans.cache_clear()
+        slow._geometries.cache_clear()
     assert sweep_labeled(4).ok()
 
 
@@ -478,12 +532,12 @@ def test_sweep_border_vector_tracks_a_fresh_product(monkeypatch):
 
     def record_base(adj, nb):
         data = base_data(adj, nb)
-        seen.append((np.array(data[3]).reshape(nb, nb), []))
+        seen.append((np.array(data[4]).reshape(nb, nb), []))
         return data
 
-    def record_border(lam, z, plan):
+    def record_border(z, prepared):
         seen[-1][1].append(list(z))
-        return inertia_distinct(lam, z, plan)
+        return inertia_distinct(z, prepared)
 
     monkeypatch.setattr(slow, "_base_data", record_base)
     monkeypatch.setattr(slow, "_inertia_distinct", record_border)
@@ -522,16 +576,18 @@ def test_canonical_form_relabels_each_base_onto_its_class():
 
 
 def test_base_data_is_the_class_solution_permuted():
-    """Each base takes its class's x φ, adjugate and eigensystem permuted
-    onto its labels: the charpoly and the packed adjugate equal the base's
-    own, exactly, and V diagonalises the base's adjacency matrix."""
+    """Each base takes its class's canonical mask, and its x φ, adjugate
+    and eigensystem permuted onto its labels: the charpoly and the packed
+    adjugate equal the base's own, exactly, and V diagonalises the base's
+    adjacency matrix."""
     slow = kernel._slow
     rng = random.Random(2114)
     bases = [(nb, mask) for nb in range(6) for mask in range(1 << (nb * (nb - 1) // 2))]
     bases += [(nb, rng.getrandbits(nb * (nb - 1) // 2)) for nb in (6, 7) for _ in range(150)]
     for nb, mask in bases:
         g = from_edge_mask(nb, mask)
-        x_phi, adjugate, lam, v_rows = slow._base_data(g.adj, nb)
+        cls, x_phi, adjugate, lam, v_rows = slow._base_data(g.adj, nb)
+        assert cls == slow._canonical_form(g.adj, nb)[0]
         c = kernel.charpoly_adj(g.adj, nb)
         w = slow._lane_bits(nb + 1)
         nbrs = [[v for v in range(nb) if g.has_edge(u, v)] for u in range(nb)]
@@ -546,27 +602,42 @@ def test_base_data_is_the_class_solution_permuted():
 
 def test_sweep_plans_each_charpoly_and_solves_each_class_once(monkeypatch):
     """At n = 6 one process builds one plan for each of the 151 distinct
-    charpolys and solves each of the 34 classes of 5-vertex bases once; a
-    second sweep in the process builds and solves nothing."""
+    charpolys, solves each of the 34 classes of 5-vertex bases once, and
+    prepares each of the 544 (class, charpoly) pairs it meets once, 2,295
+    separators in all; a second sweep in the process builds, solves and
+    prepares nothing."""
     from neumaier.classify import sweep_labeled
 
     slow = kernel._slow
-    plan = slow._separator_plan
+    plan, prepare = slow._separator_plan, slow._prepare
     planned = []
+    prepared = []  # the separators of each plan prepared
 
     def counted(n, mask):
         planned.append(kernel.charpoly_adj(from_edge_mask(n, mask).adj, n))
         return plan(n, mask)
 
+    def counted_prepare(lam, plan):
+        prepared.append(len(plan[1]))
+        return prepare(lam, plan)
+
     slow._plans.cache_clear()
+    slow._geometries.cache_clear()
     slow._class_data.cache_clear()
     monkeypatch.setattr(slow, "_separator_plan", counted)
+    monkeypatch.setattr(slow, "_prepare", counted_prepare)
     first = sweep_labeled(6, workers=1)
     assert len(planned) == len(set(planned)) == len(slow._plans(6)) == 151
     assert slow._class_data.cache_info().misses == 34
+    geometries = slow._geometries(6)
+    assert len(geometries) == 34
+    assert len(prepared) == sum(map(len, geometries.values())) == 544
+    assert sum(prepared) == 2295
     planned.clear()
+    prepared.clear()
     second = sweep_labeled(6, workers=1)
     assert planned == [] and slow._class_data.cache_info().misses == 34
+    assert prepared == []
     assert first.ok() and second.charpoly_stats == first.charpoly_stats
 
 
@@ -592,11 +663,13 @@ def test_sweep_masks_range_split_consistency():
     whole = kernel.sweep_masks(5, 0, bases)
     left = kernel.sweep_masks(5, 0, 23)
     right = kernel.sweep_masks(5, 23, bases)
-    assert whole[0] == left[0] + right[0] == 1 << 10
+    # every graph of a part's bases is counted once, 2^4 borders a base
+    for part, covered in ((whole, 1 << 10), (left, 23 << 4), (right, (bases - 23) << 4)):
+        assert sum(count for count, _, _ in part[0].values()) == covered
     assert whole[1] == left[1] + right[1]
-    assert whole[3] == left[3] + right[3]
+    assert whole[2] == left[2] + right[2] == []
     merged: dict[tuple[int, ...], list[int]] = {}
-    for part in (left[2], right[2]):
+    for part in (left[0], right[0]):
         for key, (count, mn, mx) in part.items():
             if key in merged:
                 merged[key][0] += count
@@ -604,7 +677,7 @@ def test_sweep_masks_range_split_consistency():
                 merged[key][2] = max(merged[key][2], mx)
             else:
                 merged[key] = [count, mn, mx]
-    assert {k: tuple(v) for k, v in whole[2].items()} == {
+    assert {k: tuple(v) for k, v in whole[0].items()} == {
         k: tuple(v) for k, v in merged.items()
     }
 
