@@ -23,7 +23,7 @@ from time import perf_counter
 from typing import Iterable, Iterator
 
 from . import _kernels
-from ._kernels._slow import _MAX_WITNESSES
+from ._kernels._slow import _MAX_WITNESSES, _canonical_form
 from .cliques import (
     RegularCliques,
     extension_hypothesis_holds,
@@ -703,9 +703,14 @@ class SweepAggregate:
                 wl.append(outcome.witness)
 
     def add_report(self, rep: Analysis, count: int = 1) -> None:
-        """Add the verdicts of ``count`` graphs that all classify as ``rep``
-        (the labeled sweep adds its irregular graphs at once this way); each
-        sweep fills ``distinct_histogram`` itself."""
+        """Add the verdicts of ``count`` graphs that all classify as ``rep``;
+        each sweep fills ``distinct_histogram`` itself.  The labeled sweep
+        adds its irregular graphs at once this way, and each group of its
+        isomorphic regular graphs (``_regular_groups``, keyed by canonical
+        base mask and border degree) whose representative has no violated
+        outcome and is not StrictlyNeumaier; the graphs of the other groups
+        come one by one, so the witnesses and the strictly Neumaier list
+        name each labeling."""
         self.total += count
         tax = rep.taxonomy.value
         self.taxonomy_counts[tax] = self.taxonomy_counts.get(tax, 0) + count
@@ -790,18 +795,39 @@ class LabeledSweepResult:
 _CHUNK_GRAPHS = 1 << 16
 
 
-def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int]]:
-    """Scan one base range: the aggregate of its regular graphs, each
-    classified on its own, with the graphs whose inertia counts missed as
-    graph6 witnesses, and the kernel's charpoly stats and regular masks.
-    ``sweep_labeled`` adds the irregular graphs once for all chunks."""
+def _regular_groups(n: int, masks: list[int]) -> dict[tuple[int, int], list[int]]:
+    """The regular n-vertex graphs of ``masks`` grouped, in order, by the
+    key (canonical mask of the base G - (n-1), degree r of vertex n-1).
+
+    A regular graph is fixed up to isomorphism by that key: vertex n-1 is
+    adjacent to exactly the base's vertices of degree r - 1, so an
+    isomorphism of two bases extends to the two graphs (the reconstruction
+    argument; J. A. Bondy, "A graph reconstructor's manual", Surveys in
+    Combinatorics, 1991).  For n >= 3 the base alone fixes r; r keeps
+    n = 2's empty graph and K_2, both with the one-vertex base, apart.
+    The groups are the classes of graphs rooted at vertex n-1, so a graph
+    whose vertices lie in several orbits splits into several groups, as
+    C_3 + C_4 does at n = 7."""
+    shift = (n - 1) * (n - 2) // 2
+    groups: dict[tuple[int, int], list[int]] = {}
+    for mask in masks:
+        base = from_edge_mask(n - 1, mask & ((1 << shift) - 1))
+        key = (_canonical_form(base.adj, n - 1)[0], (mask >> shift).bit_count())
+        groups.setdefault(key, []).append(mask)
+    return groups
+
+
+def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int], dict]:
+    """Scan one base range: an aggregate holding the graphs whose inertia
+    counts missed as graph6 witnesses, the kernel's charpoly stats and
+    regular masks, and those masks in scan order grouped into isomorphic
+    graphs (``_regular_groups``).  ``sweep_labeled`` classifies the groups
+    and adds the irregular graphs once for all chunks."""
     n, start, stop = args
     stats, regular, misses = _kernels.sweep_masks(n, start, stop)
     agg = SweepAggregate()
     agg.cluster_mismatch_witnesses = [encode_graph6(from_edge_mask(n, m)) for m in misses]
-    for mask in regular:
-        agg.add_report(classify(from_edge_mask(n, mask)))
-    return agg, stats, regular
+    return agg, stats, regular, _regular_groups(n, regular)
 
 
 def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
@@ -812,9 +838,15 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     process; inertia counts of each graph's own numeric eigenvalues below
     the separators planned once per charpoly and process, which record the
     plan's distinct count when they match and 0 when not;
-    degree-regularity filter).  Each regular graph goes through the full
-    classifier in its chunk.  The verifiers answer every degree-irregular
-    graph alike, so after the merge the irregular graphs, all
+    degree-regularity filter).  Each chunk groups its regular graphs into
+    isomorphic ones (``_regular_groups``); the groups are merged in chunk
+    order, and each group's first graph in scan order goes through the
+    full classifier and counts for the whole group.  When that
+    representative has a violated outcome or is StrictlyNeumaier, every
+    graph of its group is classified on its own instead, all such graphs
+    in the global scan order, so the witness lists and the strictly
+    Neumaier list are the per-graph ones.  The verifiers answer every
+    degree-irregular graph alike, so the irregular graphs, all
     2^(n(n-1)/2) but the regular ones, take the verdicts of one
     representative, K_2 beside n - 2 isolated vertices, classified once
     per sweep.  The exact distinct count of each charpoly is its
@@ -842,8 +874,9 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     # the bucket is reported even at n <= 2, where no graph is irregular
     agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] = 0
     stats: dict[tuple[int, ...], list[int]] = {}
-    regular_masks: list[int] = []
-    for part_agg, part_stats, part_regular in ordered_map(_labeled_chunk, args, workers, 1):
+    regular_masks: list[int] = []  # in scan order until the sort below
+    groups: dict[tuple[int, int], list[int]] = {}
+    for part_agg, part_stats, part_regular, part_groups in ordered_map(_labeled_chunk, args, workers, 1):
         agg.merge(part_agg)
         for key, (count, mn, mx) in part_stats.items():
             entry = stats.get(key)
@@ -854,6 +887,20 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
                 entry[1] = min(entry[1], mn)
                 entry[2] = max(entry[2], mx)
         regular_masks.extend(part_regular)
+        for key, members in part_groups.items():
+            groups.setdefault(key, []).extend(members)
+    alone: set[int] = set()
+    for members in groups.values():
+        rep = classify(from_edge_mask(n, members[0]))
+        if rep.taxonomy == Taxonomy.STRICTLY_NEUMAIER or any(
+            o.status == "violated" for o in rep.theorems.values()
+        ):
+            alone.update(members)
+        else:
+            agg.add_report(rep, count=len(members))
+    for mask in regular_masks:
+        if mask in alone:
+            agg.add_report(classify(from_edge_mask(n, mask)))
     regular_masks.sort()
     irregular = (1 << n * (n - 1) // 2) - len(regular_masks)
     if irregular:

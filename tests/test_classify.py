@@ -12,6 +12,7 @@ from neumaier.classify import (
     VERIFIERS,
     Analysis,
     Taxonomy,
+    _regular_groups,
     classify,
     classify_line_graph_neumaier,
     delsarte_clique_bound,
@@ -551,8 +552,9 @@ def test_sweep_labeled_matches_generic_sweep_n4():
 
 
 def test_sweep_classifies_the_irregular_graphs_once(monkeypatch):
-    # at n = 6 the sweep classifies its 172 regular graphs and one
-    # representative for all 32,596 irregular ones, not one per chunk
+    # at n = 6 the sweep classifies one representative of each of its 8
+    # groups of isomorphic regular graphs (172 in all) and one for all
+    # 32,596 irregular ones, not one per chunk
     module = sys.modules["neumaier.classify"]
     inner = module.classify
     calls = []
@@ -564,10 +566,71 @@ def test_sweep_classifies_the_irregular_graphs_once(monkeypatch):
     monkeypatch.setattr(module, "classify", counted)
     result = sweep_labeled(6, workers=1)
     assert len(result.regular_masks) == 172
-    assert sorted(calls) == sorted([*result.regular_masks, edge_mask(from_edges(6, [(0, 1)]))])
+    assert len(calls) == 9 and calls[-1] == edge_mask(from_edges(6, [(0, 1)]))
+    assert set(calls[:-1]) <= set(result.regular_masks)
+    assert len(_regular_groups(6, calls[:-1])) == 8
     agg = result.aggregate
     assert agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] == (1 << 15) - 172
     assert agg.total == 1 << 15 and result.ok()
+
+
+def _verdict(rep: Analysis) -> tuple:
+    return (
+        rep.taxonomy,
+        {tid: (o.status, o.equality, o.vacuous) for tid, o in rep.theorems.items()},
+        rep.spectrum.distinct_count,
+    )
+
+
+def test_every_labeling_classifies_as_its_group_representative(sweep_results, sweep7):
+    # the sweep classifies one graph per group; every other labeled regular
+    # graph on n <= 7 vertices must get the same verdicts on its own
+    for res in [*sweep_results.values(), sweep7]:
+        for members in _regular_groups(res.n, res.regular_masks).values():
+            expected = _verdict(classify(from_edge_mask(res.n, members[0])))
+            for mask in members[1:]:
+                assert _verdict(classify(from_edge_mask(res.n, mask))) == expected, (res.n, mask)
+
+
+def test_regular_groups_are_isomorphic_graphs(sweep_results, sweep7):
+    for n, res in sweep_results.items():
+        for members in _regular_groups(n, res.regular_masks).values():
+            first = from_edge_mask(n, members[0])
+            assert all(oracles.perm_isomorphic(first, from_edge_mask(n, m)) for m in members)
+    # the empty graph and K_2 share the one-vertex base; the border's degree
+    # keeps them apart
+    assert sweep_results[2].regular_masks == [0, 1]
+    assert len(_regular_groups(2, [0, 1])) == 2
+    # n = 6 has 8 classes of regular graphs, n = 7 has 6, but C_3 + C_4
+    # and its complement each split by the orbit of the last vertex
+    assert len(_regular_groups(6, sweep_results[6].regular_masks)) == 8
+    assert len(_regular_groups(7, sweep7.regular_masks)) == 8
+
+
+def test_sweep_fallback_matches_per_graph_classification(monkeypatch):
+    # srg = None makes C_4 look strictly Neumaier and C_5 violate the
+    # sandwich; their groups must then be classified graph by graph, in the
+    # kernel's scan order (bases ascending, borders in Gray-code order),
+    # with the witnesses of each labeling
+    monkeypatch.setattr(Analysis, "srg", property(lambda self: None))
+    for n in range(1, 6):
+        shift = (n - 1) * (n - 2) // 2
+        scan = [
+            base | (i ^ i >> 1) << shift
+            for base in range(1 << shift)
+            for i in range(1 << (n - 1))
+        ]
+        slow = sweep_verify(from_edge_mask(n, m) for m in scan)
+        fast = sweep_labeled(n).aggregate
+        assert fast.theorem_stats == slow.theorem_stats
+        assert fast.violations == slow.violations
+        assert fast.strictly_neumaier == slow.strictly_neumaier
+        # the sweep reports the empty NotRegular bucket at n <= 2
+        assert {k: v for k, v in fast.taxonomy_counts.items() if v} == slow.taxonomy_counts
+        if n == 4:
+            assert len(set(fast.strictly_neumaier)) == 3
+        if n == 5:
+            assert len(set(fast.violations["sandwich"])) == 12
 
 
 def test_sweep_labeled_worker_independence():
