@@ -25,7 +25,9 @@ from typing import Iterable, Iterator
 from . import _kernels
 from ._kernels._slow import _MAX_WITNESSES, _canonical_form
 from .cliques import (
+    ExtensionReport,
     RegularCliques,
+    clique_counts,
     extension_hypothesis_holds,
     max_clique_order,
     regular_cliques,
@@ -221,6 +223,31 @@ class Analysis:
         if e * (erg.v - s - 1) != (s + 1) * (erg.k - s):
             raise ConsistencyError("nexus does not satisfy e = (s+1)(k-s)/(v-s-1)")
         return s, e
+
+    @cached_property
+    def extension(self) -> ExtensionReport | None:
+        """Does every (e+1)-clique of this Neumaier graph extend to an
+        (s+1)-clique?  None for other graphs.
+
+        When every maximal clique is regular (``maximal_count`` equals the
+        number of regular cliques), they all have order s+1 and nexus e,
+        and the answer is read off them with no enumeration.  Every
+        (e+1)-clique lies in a maximal clique, so the hypothesis holds.
+        Every (s+1)-clique is maximal, so two of them through one
+        (e+1)-clique h of C would put a vertex outside C next to e+1
+        members of C, against nexus e: the extension is unique, and the
+        (s+1)-cliques are exactly the regular cliques, which give the
+        counts per vertex and per edge.  Otherwise
+        ``extension_hypothesis_holds`` decides.
+        """
+        if not self.is_neumaier:
+            return None
+        s, e = self.s_e  # type: ignore[misc]
+        found = self.regular_cliques
+        if found.maximal_count == len(found):
+            members = [r.members for r in found]
+            return ExtensionReport(True, None, *clique_counts(self.graph, members))
+        return extension_hypothesis_holds(self.graph, e, s)
 
     @property
     def s(self) -> int | None:
@@ -481,11 +508,13 @@ def verify_extension_theorem(ctx: Analysis) -> TheoremOutcome:
     """If every (e+1)-clique of a Neumaier graph extends to an
     (s+1)-clique, the graph is strongly regular; additionally the number
     of (s+1)-cliques through an edge, and through a vertex, is constant.
-    The hypothesis itself is reported as data, never assumed."""
-    if not ctx.is_neumaier:
+    The hypothesis itself is reported as data, never assumed: it is
+    ``Analysis.extension``, read off the regular cliques when every
+    maximal clique is regular and checked by ``extension_hypothesis_holds``
+    otherwise."""
+    ext = ctx.extension
+    if ext is None:
         return TheoremOutcome("skipped", detail="not a Neumaier graph")
-    s, e = ctx.s_e  # type: ignore[misc]
-    ext = extension_hypothesis_holds(ctx.graph, e, s)
     if not ext.holds:
         members = sorted(bits(ext.witness or 0))
         return TheoremOutcome(

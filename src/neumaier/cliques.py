@@ -1,6 +1,6 @@
 """Clique enumeration over bitsets: maximal cliques (pivoting
-backtracking), regular-clique detection, and the clique-extension
-hypothesis check.
+backtracking), regular-clique detection, the clique-extension
+hypothesis check, and clique counts per vertex and per edge.
 
 A regular clique C of order c and nexus e in a k-regular graph makes
 {C, V\\C} an equitable bipartition with quotient [[c-1, k-c+1],
@@ -43,11 +43,14 @@ class ExtensionReport:
 
 
 class RegularCliques(list):
-    """The regular cliques of a graph, as a list of CliqueReport, with
-    ``max_order``, the largest order of any maximal clique, taken from the
-    same enumeration."""
+    """The regular cliques of a graph, as a list of CliqueReport, with two
+    facts from the same enumeration: ``max_order``, the largest order of
+    any maximal clique, and ``maximal_count``, the number of maximal
+    cliques visited.  ``maximal_count == len(...)`` says that every
+    maximal clique is regular."""
 
     max_order: int = 0
+    maximal_count: int = 0
 
 
 def maximal_cliques(g: Graph) -> Iterator[int]:
@@ -103,10 +106,26 @@ def _pivot(adj: list[int], p: int, x: int) -> int:
     return pivot
 
 
+#: outside vertices, after the first and the last, that ``regular_cliques``
+#: checks one by one before the packed comparison: each check costs less
+#: than the packed sum of c rows, and most irregular cliques fail one
+_PROBES = 3
+
+
 def regular_cliques(g: Graph) -> RegularCliques:
     """Maximal cliques C whose outside vertices all see the same positive
     number of members, with the largest maximal-clique order as
-    ``max_order``, in one pass over the maximal cliques.
+    ``max_order`` and the number of maximal cliques as ``maximal_count``,
+    in one pass over the maximal cliques.
+
+    The nexus e is read off the first outside vertex and checked at the
+    last and at the next ``_PROBES`` in ascending order, which rejects
+    most irregular cliques at once (all but 5,377 of the 867,059 maximal
+    cliques of one dense G(62, 0.9)).  A clique that passes is decided by
+    one integer comparison on counts packed one lane per vertex: with
+    N(u) the neighbourhood of u, the sum over u in C of N(u) must be e on
+    every lane plus c-1-e on the lanes of C (each member sees the other
+    c-1).  A lane holds at most n-1, so no carry crosses lanes.
 
     In an edge-regular graph all regular cliques share one order; that is
     cross-checked and a violation raises ConsistencyError.  (General
@@ -114,28 +133,47 @@ def regular_cliques(g: Graph) -> RegularCliques:
     """
     if is_complete(g):
         raise ValueError("regular cliques are undefined for complete graphs")
+    n = g.n
     adj = g.adj
-    full = (1 << g.n) - 1
+    full = (1 << n) - 1
+    width = 8 * ((max(n - 1, 1).bit_length() + 7) // 8)
+    ones = _spread(full, width)
+    # row u: N(u) in lanes 0..n-1, and lane u above them, so that a sum
+    # over C also carries C itself, one lane per vertex, from bit ``top``
+    top = width * n
+    rows = [_spread(adj[u], width) | 1 << (top + width * u) for u in range(n)]
+    low_lanes = (1 << top) - 1
     out = RegularCliques()
-    top = 0
+    largest = count = 0
     for c in maximal_cliques(g):
+        count += 1
         order = c.bit_count()
-        if order > top:
-            top = order
+        if order > largest:
+            largest = order
         rest = full ^ c
         low = rest & -rest
         e = (adj[low.bit_length() - 1] & c).bit_count()
-        if e == 0:
+        if e == 0 or (adj[rest.bit_length() - 1] & c).bit_count() != e:
             continue
         rest ^= low
-        while rest:
+        probes = _PROBES
+        while rest and probes:
             low = rest & -rest
             if (adj[low.bit_length() - 1] & c).bit_count() != e:
                 break
             rest ^= low
+            probes -= 1
         else:
-            out.append(CliqueReport(c, order, True, True, e))
-    out.max_order = top
+            acc = 0
+            w = c
+            while w:
+                low = w & -w
+                acc += rows[low.bit_length() - 1]
+                w ^= low
+            if acc & low_lanes == e * ones + (order - 1 - e) * (acc >> top):
+                out.append(CliqueReport(c, order, True, True, e))
+    out.max_order = largest
+    out.maximal_count = count
     if len({r.order for r in out}) > 1:
         from .regularity import edge_regular_params
 
@@ -144,6 +182,41 @@ def regular_cliques(g: Graph) -> RegularCliques:
                 "regular cliques of different orders in one edge-regular graph"
             )
     return out
+
+
+def _spread(mask: int, width: int) -> int:
+    """The vertex set ``mask`` as a 1 in lane v (bits width*v and up) for
+    each member v."""
+    return sum(1 << width * v for v in bits(mask))
+
+
+def clique_counts(g: Graph, cliques: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """How many of ``cliques`` contain each vertex, and each edge in
+    ``Graph.edges()`` order.
+
+    Packed counters: acc[u] is the sum of C over the cliques C through u,
+    one lane per vertex, so lane v of acc[u] counts the cliques through
+    u and v, and lane u those through u.  A lane holds at most
+    ``len(cliques)``, so no carry crosses lanes.
+    """
+    width = max(len(cliques).bit_length(), 1)
+    lane = [1 << width * v for v in range(g.n)]
+    acc = [0] * g.n
+    for c in cliques:
+        members = []
+        hat = 0
+        while c:
+            low = c & -c
+            v = low.bit_length() - 1
+            members.append(v)
+            hat |= lane[v]
+            c ^= low
+        for u in members:
+            acc[u] += hat
+    mask = (1 << width) - 1
+    per_vertex = tuple(acc[u] >> width * u & mask for u in range(g.n))
+    per_edge = tuple(acc[u] >> width * v & mask for u, v in g.edges())
+    return per_vertex, per_edge
 
 
 def cliques_of_order(g: Graph, t: int) -> Iterator[int]:
@@ -178,8 +251,12 @@ def extension_hypothesis_holds(g: Graph, e: int, s: int) -> ExtensionReport:
     verified (unique extensions; every maximal clique has order s+1) and
     their failure raises ConsistencyError.  The (s+1)-cliques are then
     exactly the maximal cliques, so the walk that checks their order also
-    counts them per vertex and per edge.  On failure the witness is the
+    collects them for ``clique_counts``.  On failure the witness is the
     first inextensible (e+1)-clique in enumeration order.
+
+    ``classify.Analysis.extension`` calls this only when some maximal
+    clique is not regular; otherwise it reads the same report off the
+    regular cliques.
     """
     if not 1 <= e <= s:
         raise ValueError("need 1 <= e <= s for a regular-clique pair (e, s)")
@@ -203,22 +280,14 @@ def extension_hypothesis_holds(g: Graph, e: int, s: int) -> ExtensionReport:
         raise ConsistencyError(
             "extension hypothesis holds but some extension is not unique"
         )
-    n = g.n
-    per_vertex = [0] * n
-    per_pair = [0] * (n * n)
+    big = []
     for c in maximal_cliques(g):
         if c.bit_count() != s + 1:
             raise ConsistencyError(
                 "extension hypothesis holds but a maximal clique misses order s+1"
             )
-        members = list(bits(c))
-        for i, u in enumerate(members):
-            per_vertex[u] += 1
-            row = u * n
-            for v in members[i + 1:]:
-                per_pair[row + v] += 1
-    per_edge = tuple(per_pair[u * n + v] for u, v in g.edges())
-    return ExtensionReport(True, None, tuple(per_vertex), per_edge)
+        big.append(c)
+    return ExtensionReport(True, None, *clique_counts(g, big))
 
 
 def _count_cliques_within(adj: list[int], cand: int, t: int, limit: int) -> int:

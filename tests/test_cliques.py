@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -217,6 +218,45 @@ def test_extension_hypothesis_matches_pairing_reference():
                 assert got == want, (g.adj, e, s)
 
 
+def test_extension_read_off_regular_cliques_matches_both_checks(monkeypatch):
+    """``Analysis.extension`` reads the report off the regular cliques when
+    every maximal clique is regular, and runs the general check
+    otherwise; both paths must give the general check's report and the
+    pairing reference's."""
+    import sys
+
+    from neumaier.classify import Analysis
+
+    module = sys.modules["neumaier.classify"]
+    general = []
+    original = module.extension_hypothesis_holds
+
+    def counted(g, e, s):
+        general.append(g)
+        return original(g, e, s)
+
+    monkeypatch.setattr(module, "extension_hypothesis_holds", counted)
+    cayley = oracles.cayley_z2z8_lambda4()
+    assert len(cayley) == 8
+    graphs = [g for g in small_graphs() + family_members() if Analysis(g).is_neumaier]
+    read_off = 0
+    for g in graphs + cayley:
+        ctx = Analysis(g)
+        s, e = ctx.s_e
+        before = len(general)
+        got = extension_outcome(lambda *_: ctx.extension, g, e, s)
+        assert got == extension_outcome(extension_hypothesis_holds, g, e, s)
+        assert got == extension_outcome(oracles.pairing_extension_hypothesis, g, e, s)
+        found = ctx.regular_cliques
+        all_regular = found.maximal_count == len(found)
+        assert len(general) == before + (not all_regular)
+        read_off += all_regular
+        if g in cayley:
+            assert (found.maximal_count, len(found)) == (72, 8)
+    assert read_off > 0
+    assert all(g in general for g in cayley)
+
+
 def test_clique_order_bound_small_sweep():
     # edge-regular non-multipartite graphs: every clique has order at most
     # s+1, and a clique attains s+1 exactly when its outside-adjacency
@@ -294,35 +334,131 @@ def test_regular_cliques_carry_the_largest_maximal_clique_order():
         assert regular_cliques(g).max_order == max_clique_order(g)
 
 
+def regular_by_outside_counts(g, maximal):
+    """(members, order, nexus) of each clique in ``maximal`` whose outside
+    counts are one positive constant, and how many have every count 0."""
+    found, isolated = set(), 0
+    for c in maximal:
+        counts = oracles.outside_counts(g, c)
+        if len(set(counts)) == 1:
+            if counts[0]:
+                found.add((c, c.bit_count(), counts[0]))
+            else:
+                isolated += 1
+    return found, isolated
+
+
+def test_packed_regularity_check_matches_outside_counts(monkeypatch):
+    """Every labeled graph with n <= 6 and seeded random graphs with
+    n = 7..20 at three densities.  The maximal cliques come from subset
+    brute force up to n = 16 and from ``oracles.reference_maximal_cliques``
+    above that, where brute force would take seconds a graph.  With no
+    probes after the first and last outside vertex, the packed comparison
+    also has to reject the irregular cliques that the probes would."""
+    import neumaier.cliques as cq
+
+    rng = random.Random(25)
+    graphs = small_graphs()
+    for n in range(7, 21):
+        p = (0.25, 0.5, 0.85)[n % 3]
+        graphs.append(
+            from_edge_mask(n, sum(1 << t for t in range(n * (n - 1) // 2) if rng.random() < p))
+        )
+    cases = []
+    isolated = regular = 0
+    for g in graphs:
+        if g.n == 0 or is_complete(g):
+            continue
+        if g.n <= 16:
+            maximal = [sum(1 << v for v in c) for c in oracles.brute_maximal_cliques(g)]
+        else:
+            maximal = list(oracles.reference_maximal_cliques(g))
+        want, none_seen = regular_by_outside_counts(g, maximal)
+        cases.append((g, maximal, want))
+        isolated += none_seen
+        regular += len(want)
+    for probes in (cq._PROBES, 0):
+        monkeypatch.setattr(cq, "_PROBES", probes)
+        for g, maximal, want in cases:
+            got = regular_cliques(g)
+            assert len(got) == len(want)
+            assert {(r.members, r.order, r.nexus) for r in got} == want
+            assert got.maximal_count == len(maximal)
+            assert got.max_order == max(c.bit_count() for c in maximal)
+    # cliques that see no outside vertex (a clique component) must be
+    # skipped at e == 0, or the packed comparison would accept them
+    assert isolated > 1000 and regular > 10000
+
+
+@pytest.mark.parametrize("probes", ["default", 0])
+@pytest.mark.parametrize("dense", ["gnp", "multipartite"])
+def test_packed_regularity_check_on_the_widest_lanes(monkeypatch, dense, probes):
+    """62 lanes, on a prefix of the maximal cliques: a non-regular
+    G(62, 0.9), where no clique is regular, and K_{31x2}, where every one
+    is, with nexus 30; with the default probes, and with none after the
+    first and last outside vertex."""
+    import neumaier.cliques as cq
+
+    if dense == "gnp":
+        rng = random.Random(1)
+        g = from_edge_mask(62, sum(1 << t for t in range(1891) if rng.random() < 0.9))
+        assert not is_regular(g)
+    else:
+        g = complete_multipartite(31, 2)
+    if probes != "default":
+        monkeypatch.setattr(cq, "_PROBES", probes)
+    original = cq.maximal_cliques
+    maximal = list(islice(original(g), 300))
+    monkeypatch.setattr(cq, "maximal_cliques", lambda h: islice(original(h), 300))
+    want, _ = regular_by_outside_counts(g, maximal)
+    got = regular_cliques(g)
+    assert {(r.members, r.order, r.nexus) for r in got} == want
+    assert len(got) == len(want) == (0 if dense == "gnp" else 300)
+    assert got.maximal_count == 300
+    assert got.max_order == max(c.bit_count() for c in maximal)
+
+
 def test_classify_enumerates_maximal_cliques_once_per_graph(monkeypatch):
-    """The regular cliques and the largest clique order come from one
-    enumeration, made only where the spectrum admits a regular clique;
-    the extension check walks the maximal cliques again once its
-    hypothesis holds.  A graph the spectrum rules out gets no pass, or
+    """The regular cliques, the largest clique order and the number of
+    maximal cliques come from one enumeration, made only where the
+    spectrum admits a regular clique.  A Neumaier graph whose maximal
+    cliques are all regular gets that one pass and nothing else: the
+    extension check reads its answer off the regular cliques.  Where some
+    maximal clique is not regular, the extension check enumerates
+    cliques of its own.  A graph the spectrum rules out gets no pass, or
     one when Hoffman reads its clique number (edge-regular graphs)."""
     import neumaier.cliques as cq
     from neumaier.classify import Analysis, classify
 
     passes = []
+    by_order = []
     original = cq.maximal_cliques
+    original_by_order = cq.cliques_of_order
 
     def counted(g):
         passes.append(g)
         return original(g)
 
+    def counted_by_order(g, t):
+        by_order.append(t)
+        return original_by_order(g, t)
+
     monkeypatch.setattr(cq, "maximal_cliques", counted)
+    monkeypatch.setattr(cq, "cliques_of_order", counted_by_order)
     expected = [
-        (petersen(), 1),  # ruled out; edge-regular, so Hoffman's own pass
-        (dense_regular(40, 6, 0), 0),  # ruled out; not edge-regular
-        (johnson2(6), 1),  # extension hypothesis fails
-        (rook(4), 2),
-        (complement(rook(4)), 2),
-        (complete_multipartite(3, 3), 2),
+        (petersen(), 1, 0),  # ruled out; edge-regular, so Hoffman's own pass
+        (dense_regular(40, 6, 0), 0, 0),  # ruled out; not edge-regular
+        (johnson2(6), 1, 2),  # extension hypothesis fails
+        (rook(4), 1, 0),
+        (complement(rook(4)), 1, 0),
+        (complete_multipartite(3, 3), 1, 0),
     ]
-    for g, want in expected:
+    for g, want, want_by_order in expected:
         passes.clear()
+        by_order.clear()
         classify(g)
         assert len(passes) == want
+        assert len(by_order) == want_by_order
     ctx = Analysis(complement(petersen()))
     passes.clear()
     assert ctx.max_clique_order == max_clique_order(complement(petersen())) == 4
