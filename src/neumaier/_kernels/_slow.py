@@ -6,33 +6,31 @@ the walk-regularity check), ``charpoly_adj`` and ``jacobi_eigenvalues``
 (Householder + implicit QL) serve single graphs; ``cluster_count`` stays
 for the benchmark's tracing and the test oracles, which look it up.
 ``sweep_masks`` scans the exhaustive labeled sweep over ranges of base
-graphs on n - 1 vertices.  It borders each base with every neighbourhood
-of vertex n - 1 in Gray-code order and gets each graph's exact charpoly
-from the bordered determinant (Horn & Johnson, Matrix Analysis, 0.8.5):
-det(xI - A') = x φ_G(x) - s^T adj(xI - A) s.  That costs about n additions
-of packed ints per graph once φ_G and the adjugate are known for the base.
-The keys are Kronecker-packed in lanes sized from a rigorous coefficient
-bound (``_coeff_bound``, n <= 8) and decoded with a guard-bit check.  The
-numeric check reuses the base too: with A_G = V Λ V^T decomposed once,
-each bordered matrix A' is orthogonally similar to the arrowhead
-[[Λ, z], [z^T, 0]] with z = V^T s.  Its eigenvalues are counted, not
-solved for: below a separator t they number #{λ_i < t} plus one when
--t - Σ z_i² / (λ_i - t) < 0 (Haynsworth's inertia formula on the Schur
-complement), one division-sum per t.
+graphs on n - 1 vertices.  It walks one base per isomorphism class,
+bordered with every neighbourhood of vertex n - 1 in Gray-code order, and
+gets each graph's exact charpoly from the bordered determinant (Horn &
+Johnson, Matrix Analysis, 0.8.5): det(xI - A') = x φ_G(x) - s^T adj(xI -
+A) s.  The keys are Kronecker-packed in lanes sized from a rigorous
+coefficient bound (``_coeff_bound``, n <= 8) and decoded with a
+guard-bit check.  With A_G = V Λ V^T, each bordered matrix A' is
+orthogonally similar to the arrowhead [[Λ, z], [z^T, 0]] with z = V^T s,
+whose eigenvalues are counted, not solved for: below a separator t they
+number #{λ_i < t} plus one when -t - Σ z_i² / (λ_i - t) < 0
+(Haynsworth's inertia formula on the Schur complement).
 
 Three tables live for the whole process, all behind ``lru_cache`` so
-``cache_clear`` empties them: φ_G, the adjugate and (Λ, V), solved once
-per isomorphism class of base graphs (``_class_data``) and permuted onto
-each base (``_base_data``); one plan of separators per distinct
+``cache_clear`` empties them: φ_G, the adjugate and (Λ, V) of each class
+of bases (``_class_data``); one plan of separators per distinct
 charpoly, from the clusters of ``spectra.spectrum`` on the first graph
-that has it (``_plans``); and that plan prepared against Λ once per
-(base class, charpoly) pair (``_geometries``).
+that has it (``_plans``); and each class's tallies, which every base of
+the class shares (``_class_walk``).  A plan prepared against Λ lives only
+while its class is walked.
 
 The package re-exports these functions from ``neumaier._kernels``.  The
 module path and the function names stay as they are because the
 benchmark's tracing looks them up: it wraps the names on
 ``neumaier._kernels`` and leaves this module unpatched, so the calls
-``sweep_masks`` makes to the charpoly and the eigensolver for its bases
+``sweep_masks`` makes to the charpoly and the eigensolver for its classes
 stay inside its one span.  Its plans go through ``spectra.spectrum``
 and show in that function's span and in the kernels' own.
 """
@@ -335,8 +333,8 @@ def _separator_plan(n: int, mask: int) -> tuple[int, list[tuple[float, int]]]:
     means, and the count below it the running sum of the sizes.  When
     ``spectrum`` cannot resolve the graph, the plan is (0, []).
 
-    ``sweep_masks`` builds each plan from the first graph with its charpoly
-    that it meets, and the outcome does not depend on which: graphs with
+    The class walks build each plan from the first graph with its charpoly
+    that they meet, and the outcome does not depend on which: graphs with
     one charpoly have the same exact eigenvalues, so a resolved plan has
     the same d and counts whichever graph built it, and its separators
     move only by that graph's roundoff, O(n ε), about half a gap from every
@@ -362,12 +360,6 @@ def _separator_plan(n: int, mask: int) -> tuple[int, list[tuple[float, int]]]:
 def _plans(n: int) -> dict[int, tuple[int, list[tuple[float, int]]]]:
     """The separator plans of n-vertex charpolys built in this process,
     by packed charpoly key (``sweep_masks``)."""
-    return {}
-
-
-@lru_cache(maxsize=None)  # one table for each n <= 8
-def _geometries(n: int) -> dict[int, dict[int, tuple]]:
-    """``_prepare``d plans by base class mask, then by charpoly key."""
     return {}
 
 
@@ -426,22 +418,6 @@ def _class_data(
     w = _lane_bits(nb + 1)
     lam, v_rows = _base_eigensystem(adj, nb)
     return _pack(c, w), _adjugate(nbrs, c, w), tuple(lam), v_rows
-
-
-def _base_data(adj: tuple[int, ...], nb: int) -> tuple:
-    """The canonical mask of the base graph with neighbour bitsets ``adj``
-    and its class's ``_class_data``, permuted onto the base's labels.
-
-    With P the permutation matrix of perm (``_canonical_form``), A = P^T C P
-    for the canonical graph's C.  Relabeling is a similarity, so φ and Λ
-    are C's, adj(xI - A) = P^T adj(xI - C) P exactly, entry (u, v) being
-    C's entry (perm[u], perm[v]), and V = P^T V_C diagonalises A, its row u
-    being row perm[u] of V_C.
-    """
-    mask, perm = _canonical_form(adj, nb)
-    x_phi, adjugate, lam, v_rows = _class_data(nb, mask)
-    rows = [adjugate[p] for p in perm]
-    return mask, x_phi, [[row[p] for p in perm] for row in rows], lam, [v_rows[p] for p in perm]
 
 
 def _prepare(lam: tuple[float, ...], plan: tuple) -> tuple[int, list[tuple]]:
@@ -567,52 +543,108 @@ def _adjugate(nbrs: list[list[int]], c: tuple[int, ...], w: int) -> list[list[in
 _MAX_WITNESSES = 32
 
 
-def sweep_masks(n: int, start: int, stop: int) -> tuple[dict, list[int], list[int]]:
+class RegularMasks(list):
+    """Regular masks from ``sweep_masks``, with ``keys`` in step: each one's
+    (canonical base mask, degree of vertex n-1), to group them by."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.keys: list[tuple[int, int]] = []
+
+
+@lru_cache(maxsize=None)  # n = 8 has 1,044 classes of bases
+def _class_walk(n: int, cls: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """(tallies, regular, missed) of the 2^(n-1) graphs bordering the
+    canonical base ``cls`` (``sweep_masks``): (packed key, count, min, max)
+    per charpoly, then the walk's regular and missed borders."""
+    nb = n - 1
+    x_phi, adjugate, lam, v_rows = _class_data(nb, cls)
+    deg = [a.bit_count() for a in from_edge_mask(nb, cls).adj]
+    plans = _plans(n)
+    geometry: dict[int, tuple] = {}  # prepared plans, by key
+    tallies: dict[int, list[int]] = {}
+    regular, missed = [], []
+    q, t_row, z = 0, [0] * nb, [0.0] * nb
+    for i in range(1 << nb):
+        gray = i ^ (i >> 1)
+        r = gray.bit_count()
+        if all(d + (gray >> v & 1) == r for v, d in enumerate(deg)):
+            regular.append(gray)
+        key = x_phi - q
+        prepared = geometry.get(key)
+        if prepared is None:
+            if key not in plans:
+                plans[key] = _separator_plan(n, cls | gray << nb * (nb - 1) // 2)
+            prepared = geometry[key] = _prepare(lam, plans[key])
+        distinct = _inertia_distinct(z, prepared)
+        if not distinct:
+            missed.append(gray)
+        entry = tallies.setdefault(key, [0, distinct, distinct])
+        entry[0] += 1
+        entry[1] = min(entry[1], distinct)
+        entry[2] = max(entry[2], distinct)
+        u = ((i + 1) & -(i + 1)).bit_length() - 1  # next flip; nb after the last
+        if u < nb:
+            p_u = adjugate[u]
+            if gray >> u & 1:
+                t_row = list(map(sub, t_row, p_u))
+                q -= (t_row[u] << 1) + p_u[u]
+                z = list(map(sub, z, v_rows[u]))
+            else:
+                q += (t_row[u] << 1) + p_u[u]
+                t_row = list(map(add, t_row, p_u))
+                z = list(map(add, z, v_rows[u]))
+    return tuple((k, *v) for k, v in tallies.items()), tuple(regular), tuple(missed)
+
+
+def _relabel(border: int, perm: list[int]) -> int:
+    """The base's border whose relabeling onto its class is ``border``."""
+    return sum(1 << u for u, c in enumerate(perm) if border >> c & 1)
+
+
+def sweep_masks(n: int, start: int, stop: int) -> tuple[dict, RegularMasks, list[int]]:
     """Scan every labeled n-vertex graph whose base mask is in [start, stop).
 
     Edge mask bit t is the t-th vertex pair (i, j), i < j, in column-major
-    (graph6) order: by j, then by i.  The pairs of vertex n-1 therefore
-    come last, so a mask is base | border << (n-1)(n-2)/2, with the base
-    an (n-1)-vertex graph G and the border S the neighbourhood of vertex
-    n-1.  Per base, φ_G and the packed adjugate P of xI - A come from
-    ``_base_data``, then the 2^(n-1) borders are walked in Gray-code
-    order.  With s the indicator of S, the bordered (Schur complement)
-    determinant is det(xI - A') = x φ_G(x) - s^T adj(xI - A) s.  Per flip
-    of vertex u the kernel keeps T_v = sum_{i in S} P_iv (n - 1 additions)
-    and q = s^T P s (one more: +(2 T_u + P_uu) on adding u, with T taken
-    before, -(2 T_u + P_uu) on removing it, with T taken after), and the
-    key is the packed x φ_G - q.  Distinct keys are decoded to coefficient
-    tuples once per call, with lanes wide enough for ``_coeff_bound``.
+    (graph6) order: by j, then by i, so a mask is base | border <<
+    (n-1)(n-2)/2, with the base an (n-1)-vertex graph G and the border S
+    the neighbourhood of vertex n-1.  A graph's tallies depend only on
+    G's isomorphism class and S relabeled onto it by perm
+    (``_canonical_form``), a bijection of the borders, so each base adds
+    its class's (``_class_walk``, one walk per class and process: 34 at
+    n = 6, 156 at n = 7); only the regular and missed borders go back.
 
-    The numeric side shares the base as well: ``_base_data`` also gives
-    A_G = V Λ V^T, so (V ⊕ 1)^T A' (V ⊕ 1) is the arrowhead
-    [[Λ, z], [z^T, 0]] with z = V^T s, and z follows the walk like T: ± row
-    u of V per flip.  Each isomorphism class of bases is solved once per
-    process (34 classes at n = 6, 156 at n = 7), each distinct charpoly
-    gets one plan of separators with its exact distinct count d
-    (``_separator_plan``), and each (class, charpoly) pair that plan
-    prepared against Λ (``_prepare``: the separators moved off Λ, the
-    counts left to the Schur complement, 0 or 1, and the λ_i - t).  Each
-    graph counts its own arrowhead's eigenvalues below each separator
-    (``_inertia_distinct``, one division-sum each, to the first miss) and
-    records d when every count is the plan's, else 0.  No table holds a
-    graph's count: each is made from the graph's own z.
+    The walk visits the 2^(n-1) borders in Gray-code order with φ_G and
+    the packed adjugate P of xI - A from ``_class_data``.  With s the
+    indicator of S, det(xI - A') = x φ_G(x) - s^T P s.  Per flip of vertex
+    u it keeps T_v = sum_{i in S} P_iv (n - 1 additions) and q = s^T P s
+    (one more: +(2 T_u + P_uu) on adding u, with T taken before, -(2 T_u +
+    P_uu) on removing it, with T taken after); the key is the packed
+    x φ_G - q.  With A_G = V Λ V^T, the arrowhead's z = V^T s follows the
+    walk like T, ± row u of V per flip.  Each distinct charpoly gets one
+    plan of separators with its exact distinct count d
+    (``_separator_plan``), prepared against Λ once per walk that meets it
+    (``_prepare``).  Each class graph counts its arrowhead's eigenvalues
+    below each separator (``_inertia_distinct``) and records d when every
+    count is the plan's, else 0.  A labeled graph's count is its class
+    graph's: its own z = V_b^T s, row u of V_b being row perm[u] of V, is
+    the class graph's z summed in another order.
 
-    Those counts answer for each graph's own matrix.  V is orthogonal to
-    O(n ε), and z stays within 1e-13 of a fresh V^T s over a whole walk
-    (tested for n <= 8), so the arrowhead is an exactly orthogonal
-    similarity of A' + E with ||E|| = O(n ε ||A'||).  By Sylvester's law of
-    inertia it has as many eigenvalues below t as A' + E, and by Weyl's
-    inequality as many as A' while t stays more than ||E|| from every
-    eigenvalue of A'.  A graph with the plan's charpoly has the plan
-    graph's eigenvalues, so each separator lies half a gap from them.
+    Those counts answer for the class graph's matrix.  V is orthogonal to
+    O(n ε) and z stays within 1e-13 of a fresh V^T s over a walk (tested
+    for n <= 8), so the arrowhead is an exactly orthogonal similarity of
+    A' + E with ||E|| = O(n ε ||A'||).  By Sylvester's law of inertia it
+    has as many eigenvalues below t as A' + E, and by Weyl's inequality as
+    many as A' while t is more than ||E|| from every eigenvalue of A'.  A
+    graph with the plan's charpoly has the plan graph's eigenvalues, so
+    each separator lies half a gap from them.
 
     Returns (stats, regular_masks, misses): stats maps the charpoly (the
     coefficient tuple of ``charpoly_adj``) -> [graph_count, min_count,
-    max_count] over the recorded counts, d or 0; regular_masks lists the
-    masks of the degree-regular graphs, base by base in walk order, for
-    full classification by the caller; misses lists the masks of the first
-    ``_MAX_WITNESSES`` graphs, in the same order, whose count missed.
+    max_count] over the recorded counts, d or 0; regular_masks is the
+    ``RegularMasks`` of the degree-regular graphs, base by base (for n >= 3
+    a base has at most one regular border); misses lists the first
+    ``_MAX_WITNESSES`` graphs in scan order whose count missed.
     """
     if not 1 <= n <= 8:
         raise ValueError("mask sweep supports 1 <= n <= 8")
@@ -620,58 +652,26 @@ def sweep_masks(n: int, start: int, stop: int) -> tuple[dict, list[int], list[in
     shift = nb * (nb - 1) // 2
     if not 0 <= start <= stop <= 1 << shift:
         raise ValueError(f"base range [{start}, {stop}) outside [0, {1 << shift})")
-    w = _lane_bits(n)
-    # walk[i] = (border i in Gray order, vertex flipped next, +1 add / -1 remove / 0 last)
-    walk = []
-    for i in range(1 << nb):
-        nxt = (i + 1) & -(i + 1)
-        u = nxt.bit_length() - 1
-        gray = i ^ (i >> 1)
-        walk.append((gray, u, 0 if i + 1 == 1 << nb else -1 if gray >> u & 1 else 1))
-    stats: dict[int, list[int]] = {}
-    plans = _plans(n)
-    geometries = _geometries(n)
-    regular: list[int] = []
+    copies: dict[int, int] = {}  # the range's bases in each class
+    regular = RegularMasks()
     misses: list[int] = []
     for base in range(start, stop):
-        adj = from_edge_mask(nb, base).adj
-        cls, x_phi, adjugate, lam, v_rows = _base_data(adj, nb)
-        geometry = geometries.setdefault(cls, {})
-        deg = [a.bit_count() for a in adj] + [0]
-        t_row = [0] * nb
-        q = 0
-        z = [0.0] * nb
-        for gray, u, step in walk:
-            if deg.count(deg[nb]) == n:
-                regular.append(base | gray << shift)
-            key = x_phi - q
-            prepared = geometry.get(key)
-            if prepared is None:
-                if key not in plans:
-                    plans[key] = _separator_plan(n, base | gray << shift)
-                prepared = geometry[key] = _prepare(lam, plans[key])
-            distinct = _inertia_distinct(z, prepared)
-            if not distinct and len(misses) < _MAX_WITNESSES:
-                misses.append(base | gray << shift)
-            entry = stats.get(key)
-            if entry is None:
-                stats[key] = [1, distinct, distinct]
-            else:
-                entry[0] += 1
-                if distinct < entry[1]:
-                    entry[1] = distinct
-                if distinct > entry[2]:
-                    entry[2] = distinct
-            if step:
-                p_u = adjugate[u]
-                if step > 0:
-                    q += (t_row[u] << 1) + p_u[u]
-                    t_row = list(map(add, t_row, p_u))
-                    z = list(map(add, z, v_rows[u]))
-                else:
-                    t_row = list(map(sub, t_row, p_u))
-                    q -= (t_row[u] << 1) + p_u[u]
-                    z = list(map(sub, z, v_rows[u]))
-                deg[u] += step
-                deg[nb] += step
+        cls, perm = _canonical_form(from_edge_mask(nb, base).adj, nb)
+        copies[cls] = copies.get(cls, 0) + 1
+        _, borders, missed = _class_walk(n, cls)
+        for border in borders:
+            regular.append(base | _relabel(border, perm) << shift)
+            regular.keys.append((cls, border.bit_count()))
+        if missed and len(misses) < _MAX_WITNESSES:
+            rank = {i ^ i >> 1: i for i in range(1 << nb)}
+            own = sorted((_relabel(b, perm) for b in missed), key=rank.__getitem__)
+            misses += [base | b << shift for b in own[: _MAX_WITNESSES - len(misses)]]
+    stats: dict[int, list[int]] = {}
+    for cls, k in copies.items():
+        for key, count, low, high in _class_walk(n, cls)[0]:
+            entry = stats.setdefault(key, [0, low, high])
+            entry[0] += count * k
+            entry[1] = min(entry[1], low)
+            entry[2] = max(entry[2], high)
+    w = _lane_bits(n)
     return {_unpack_key(k, n, w): v for k, v in stats.items()}, regular, misses

@@ -23,7 +23,7 @@ from time import perf_counter
 from typing import Iterable, Iterator
 
 from . import _kernels
-from ._kernels._slow import _MAX_WITNESSES, _canonical_form
+from ._kernels._slow import _MAX_WITNESSES, RegularMasks
 from .cliques import (
     ExtensionReport,
     RegularCliques,
@@ -824,9 +824,10 @@ class LabeledSweepResult:
 _CHUNK_GRAPHS = 1 << 16
 
 
-def _regular_groups(n: int, masks: list[int]) -> dict[tuple[int, int], list[int]]:
-    """The regular n-vertex graphs of ``masks`` grouped, in order, by the
-    key (canonical mask of the base G - (n-1), degree r of vertex n-1).
+def _regular_groups(regular: RegularMasks) -> dict[tuple[int, int], list[int]]:
+    """The regular n-vertex graphs of ``regular`` grouped, in order, by the
+    key the kernel hands with each: (canonical mask of the base G - (n-1),
+    degree r of vertex n-1).
 
     A regular graph is fixed up to isomorphism by that key: vertex n-1 is
     adjacent to exactly the base's vertices of degree r - 1, so an
@@ -837,40 +838,38 @@ def _regular_groups(n: int, masks: list[int]) -> dict[tuple[int, int], list[int]
     The groups are the classes of graphs rooted at vertex n-1, so a graph
     whose vertices lie in several orbits splits into several groups, as
     C_3 + C_4 does at n = 7."""
-    shift = (n - 1) * (n - 2) // 2
     groups: dict[tuple[int, int], list[int]] = {}
-    for mask in masks:
-        base = from_edge_mask(n - 1, mask & ((1 << shift) - 1))
-        key = (_canonical_form(base.adj, n - 1)[0], (mask >> shift).bit_count())
+    for mask, key in zip(regular, regular.keys):
         groups.setdefault(key, []).append(mask)
     return groups
 
 
-def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, list[int], dict]:
+def _labeled_chunk(args: tuple) -> tuple[SweepAggregate, dict, RegularMasks]:
     """Scan one base range: an aggregate holding the graphs whose inertia
-    counts missed as graph6 witnesses, the kernel's charpoly stats and
-    regular masks, and those masks in scan order grouped into isomorphic
-    graphs (``_regular_groups``).  ``sweep_labeled`` classifies the groups
-    and adds the irregular graphs once for all chunks."""
+    counts missed as graph6 witnesses, and the kernel's charpoly stats and
+    regular masks with their group keys.  ``sweep_labeled`` groups and
+    classifies the regular graphs and adds the irregular ones once for all
+    chunks."""
     n, start, stop = args
     stats, regular, misses = _kernels.sweep_masks(n, start, stop)
     agg = SweepAggregate()
     agg.cluster_mismatch_witnesses = [encode_graph6(from_edge_mask(n, m)) for m in misses]
-    return agg, stats, regular, _regular_groups(n, regular)
+    return agg, stats, regular
 
 
 def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     """Run the full labeled-graph sweep on n vertices.
 
-    The kernel scans every edge mask (exact charpoly from the bordered
-    determinant of a base graph solved once per isomorphism class and
-    process; inertia counts of each graph's own numeric eigenvalues below
-    the separators planned once per charpoly and process, which record the
-    plan's distinct count when they match and 0 when not;
-    degree-regularity filter).  Each chunk groups its regular graphs into
-    isomorphic ones (``_regular_groups``); the groups are merged in chunk
-    order, and each group's first graph in scan order goes through the
-    full classifier and counts for the whole group.  When that
+    The kernel tallies every edge mask from one walk per isomorphism class
+    of base graphs and process, which every labeled base of the class
+    shares (exact charpoly from the bordered determinant; inertia counts
+    of the class graph's numeric eigenvalues below the separators planned
+    once per charpoly and process, which record the plan's distinct count
+    when they match and 0 when not; degree-regularity filter).  The
+    regular graphs of all chunks are grouped into isomorphic ones by the
+    keys the kernel hands with them (``_regular_groups``), and each
+    group's first graph in scan order goes through the full classifier
+    and counts for the whole group.  When that
     representative has a violated outcome or is StrictlyNeumaier, every
     graph of its group is classified on its own instead, all such graphs
     in the global scan order, so the witness lists and the strictly
@@ -882,7 +881,7 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     squarefree degree (``spectra._distinct_from_key``); every graph of a
     charpoly with a recorded count that differs from it is tallied in
     ``cluster_mismatches``, and the first ``_MAX_WITNESSES`` graphs in
-    the kernel's scan order whose own count missed are kept as witnesses.
+    the kernel's scan order whose count missed are kept as witnesses.
     Work is split into chunks of base graphs on n - 1 vertices, each with
     all 2^(n-1) borders: at most ``_CHUNK_GRAPHS`` graphs a chunk, and
     about eight chunks for each process ``pool_size`` lets run, all mapped
@@ -903,23 +902,18 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
     # the bucket is reported even at n <= 2, where no graph is irregular
     agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] = 0
     stats: dict[tuple[int, ...], list[int]] = {}
-    regular_masks: list[int] = []  # in scan order until the sort below
-    groups: dict[tuple[int, int], list[int]] = {}
-    for part_agg, part_stats, part_regular, part_groups in ordered_map(_labeled_chunk, args, workers, 1):
+    regular = RegularMasks()  # in scan order, with the kernel's keys
+    for part_agg, part_stats, part_regular in ordered_map(_labeled_chunk, args, workers, 1):
         agg.merge(part_agg)
         for key, (count, mn, mx) in part_stats.items():
-            entry = stats.get(key)
-            if entry is None:
-                stats[key] = [count, mn, mx]
-            else:
-                entry[0] += count
-                entry[1] = min(entry[1], mn)
-                entry[2] = max(entry[2], mx)
-        regular_masks.extend(part_regular)
-        for key, members in part_groups.items():
-            groups.setdefault(key, []).extend(members)
+            entry = stats.setdefault(key, [0, mn, mx])
+            entry[0] += count
+            entry[1] = min(entry[1], mn)
+            entry[2] = max(entry[2], mx)
+        regular.extend(part_regular)
+        regular.keys.extend(part_regular.keys)
     alone: set[int] = set()
-    for members in groups.values():
+    for members in _regular_groups(regular).values():
         rep = classify(from_edge_mask(n, members[0]))
         if rep.taxonomy == Taxonomy.STRICTLY_NEUMAIER or any(
             o.status == "violated" for o in rep.theorems.values()
@@ -927,11 +921,10 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
             alone.update(members)
         else:
             agg.add_report(rep, count=len(members))
-    for mask in regular_masks:
+    for mask in regular:
         if mask in alone:
             agg.add_report(classify(from_edge_mask(n, mask)))
-    regular_masks.sort()
-    irregular = (1 << n * (n - 1) // 2) - len(regular_masks)
+    irregular = (1 << n * (n - 1) // 2) - len(regular)
     if irregular:
         agg.add_report(classify(from_edges(n, [(0, 1)])), count=irregular)
     for key, (count, mn, mx) in stats.items():
@@ -943,7 +936,7 @@ def sweep_labeled(n: int, workers: int = 1) -> LabeledSweepResult:
         n=n,
         aggregate=agg,
         charpoly_stats={k: tuple(v) for k, v in stats.items()},
-        regular_masks=regular_masks,
+        regular_masks=sorted(regular),
         elapsed=perf_counter() - t0,
     )
 
@@ -955,14 +948,18 @@ def pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
-def ordered_map(fn, items: list, workers: int, chunksize: int) -> list:
-    """``[fn(x) for x in items]``, mapped ``chunksize`` items a task over a
-    process pool when ``pool_size`` gives it two or more processes; else in
-    this process, as a pool of one would only pickle serial work."""
+def ordered_map(fn, items: list, workers: int, chunksize: int) -> Iterator:
+    """``fn(x)`` for each x of ``items``, yielded in order as it is ready,
+    mapped ``chunksize`` items a task over a process pool when
+    ``pool_size`` gives it two or more processes; else in this process,
+    as a pool of one would only pickle serial work.  The labeled sweep
+    merges each chunk as it comes, so it never holds every chunk's stats
+    at once (4,096 chunks at n = 8)."""
     processes = pool_size(workers, -(-len(items) // chunksize))
     if processes == 1:
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=processes) as ex:
-        return list(ex.map(fn, items, chunksize=chunksize))
+        yield from ex.map(fn, items, chunksize=chunksize)

@@ -124,7 +124,7 @@ def analyze(input, output, format, workers) -> None:
     graphs = [g for _, g in _read_graphs(input)]
     out = _open_out(output)
     try:
-        records = ordered_map(_classify_record, graphs, workers, 8)
+        records = list(ordered_map(_classify_record, graphs, workers, 8))
         if format == "csv":
             out.write(rpt.CSV_HEADER + "\n")
         for rec in records:

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from neumaier import _kernels
+from neumaier._kernels._slow import RegularMasks
 from neumaier.classify import (
     _MAX_WITNESSES,
     VERIFIERS,
@@ -551,6 +553,19 @@ def test_sweep_labeled_matches_generic_sweep_n4():
         assert sweep_labeled(n).aggregate.taxonomy_counts[Taxonomy.NOT_REGULAR.value] == 0
 
 
+def keyed(n: int, masks: list[int]) -> RegularMasks:
+    """The regular masks with the keys ``sweep_masks`` hands over with
+    them when it sweeps their bases."""
+    shift = (n - 1) * (n - 2) // 2
+    out = RegularMasks()
+    for mask in masks:
+        base = mask & ((1 << shift) - 1)
+        _, regular, _ = _kernels.sweep_masks(n, base, base + 1)
+        out.append(mask)
+        out.keys.append(regular.keys[regular.index(mask)])
+    return out
+
+
 def test_sweep_classifies_the_irregular_graphs_once(monkeypatch):
     # at n = 6 the sweep classifies one representative of each of its 8
     # groups of isomorphic regular graphs (172 in all) and one for all
@@ -568,7 +583,7 @@ def test_sweep_classifies_the_irregular_graphs_once(monkeypatch):
     assert len(result.regular_masks) == 172
     assert len(calls) == 9 and calls[-1] == edge_mask(from_edges(6, [(0, 1)]))
     assert set(calls[:-1]) <= set(result.regular_masks)
-    assert len(_regular_groups(6, calls[:-1])) == 8
+    assert len(_regular_groups(keyed(6, calls[:-1]))) == 8
     agg = result.aggregate
     assert agg.taxonomy_counts[Taxonomy.NOT_REGULAR.value] == (1 << 15) - 172
     assert agg.total == 1 << 15 and result.ok()
@@ -586,7 +601,7 @@ def test_every_labeling_classifies_as_its_group_representative(sweep_results, sw
     # the sweep classifies one graph per group; every other labeled regular
     # graph on n <= 7 vertices must get the same verdicts on its own
     for res in [*sweep_results.values(), sweep7]:
-        for members in _regular_groups(res.n, res.regular_masks).values():
+        for members in _regular_groups(keyed(res.n, res.regular_masks)).values():
             expected = _verdict(classify(from_edge_mask(res.n, members[0])))
             for mask in members[1:]:
                 assert _verdict(classify(from_edge_mask(res.n, mask))) == expected, (res.n, mask)
@@ -594,17 +609,17 @@ def test_every_labeling_classifies_as_its_group_representative(sweep_results, sw
 
 def test_regular_groups_are_isomorphic_graphs(sweep_results, sweep7):
     for n, res in sweep_results.items():
-        for members in _regular_groups(n, res.regular_masks).values():
+        for members in _regular_groups(keyed(n, res.regular_masks)).values():
             first = from_edge_mask(n, members[0])
             assert all(oracles.perm_isomorphic(first, from_edge_mask(n, m)) for m in members)
     # the empty graph and K_2 share the one-vertex base; the border's degree
     # keeps them apart
     assert sweep_results[2].regular_masks == [0, 1]
-    assert len(_regular_groups(2, [0, 1])) == 2
+    assert len(_regular_groups(keyed(2, [0, 1]))) == 2
     # n = 6 has 8 classes of regular graphs, n = 7 has 6, but C_3 + C_4
     # and its complement each split by the orbit of the last vertex
-    assert len(_regular_groups(6, sweep_results[6].regular_masks)) == 8
-    assert len(_regular_groups(7, sweep7.regular_masks)) == 8
+    assert len(_regular_groups(keyed(6, sweep_results[6].regular_masks))) == 8
+    assert len(_regular_groups(keyed(7, sweep7.regular_masks))) == 8
 
 
 def test_sweep_fallback_matches_per_graph_classification(monkeypatch):

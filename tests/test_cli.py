@@ -202,6 +202,19 @@ def test_process_pools_are_bounded_by_tasks_and_cpus(serial_pool, monkeypatch):
     assert serial_pool == [(3, 3)]
 
 
+def test_ordered_map_yields_each_result_as_it_comes(serial_pool):
+    # the labeled sweep merges chunk by chunk, so at n = 8 it never holds
+    # the stats of all 4,096 chunks; through the pool and without one
+    from neumaier.classify import ordered_map
+
+    for workers in (2, 1):
+        calls = []
+        results = ordered_map(calls.append, list(range(10)), workers, 1)
+        assert next(results) is None and calls == [0]
+        assert list(results) == [None] * 9 and calls == list(range(10))
+    assert serial_pool == [(2, 10)]
+
+
 def fresh_interpreter(code: str) -> str:
     """stdout of ``code`` run by a new interpreter on this package."""
     src = Path(neumaier.__file__).resolve().parent.parent

@@ -328,10 +328,11 @@ def test_sweep_masks_matches_per_mask_scan_seeded_n7_n8():
 
 
 def test_inertia_count_matches_the_reference_formula(monkeypatch):
-    """On every labeled graph with n <= 6 and on the seeded n = 7 and 8
-    ranges, the count from the prepared plan equals the earlier
-    per-separator formula's on the same plan, base eigenvalues and z, and
-    every need the sweep prepares is 0 or 1."""
+    """On every class graph that the sweeps of every labeled graph with
+    n <= 6 and of the seeded n = 7 and 8 ranges walk, the count from the
+    prepared plan equals the earlier per-separator formula's on the same
+    plan, base eigenvalues and z, and every need the sweep prepares is 0
+    or 1."""
     slow = kernel._slow
     prepare, inertia_distinct = slow._prepare, slow._inertia_distinct
     sources = {}  # id of each prepared plan -> (it, lam, plan)
@@ -350,13 +351,18 @@ def test_inertia_count_matches_the_reference_formula(monkeypatch):
         counts.append(count)
         return count
 
-    slow._geometries.cache_clear()  # every plan the sweeps count with is prepared here
+    slow._class_walk.cache_clear()  # every class the sweeps count with is walked here
     monkeypatch.setattr(slow, "_prepare", recorded)
     monkeypatch.setattr(slow, "_inertia_distinct", compared)
     ranges = [(n, 0, 1 << (n - 1) * (n - 2) // 2) for n in range(1, 7)] + list(seeded_ranges())
     for n, start, stop in ranges:
         slow.sweep_masks(n, start, stop)
-    assert len(counts) == sum((stop - start) << (n - 1) for n, start, stop in ranges)
+    walked = {
+        (n, slow._canonical_form(from_edge_mask(n - 1, base).adj, n - 1)[0])
+        for n, start, stop in ranges
+        for base in range(start, stop)
+    }
+    assert len(counts) == sum(1 << (n - 1) for n, _ in walked)
     assert all(counts)
 
 
@@ -443,9 +449,9 @@ def test_falsified_plan_fails_the_sweep(monkeypatch):
     """Negative control: every plan whose first multiplicity is one too
     large must show as cluster mismatches, keep the first graphs whose
     counts missed as witnesses, fail the sweep and exit 4.  Plans and
-    their prepared geometry live for the process, so both tables are
-    emptied before the falsified plans are built, after a clean sweep has
-    filled them, and again after them."""
+    the class walks that count with them live for the process, so both
+    tables are emptied before the falsified plans are built, after a clean
+    sweep has filled them, and again after them."""
     from neumaier.classify import _MAX_WITNESSES, sweep_labeled
     from neumaier.cli import main
 
@@ -464,7 +470,7 @@ def test_falsified_plan_fails_the_sweep(monkeypatch):
     scan = [base | (i ^ i >> 1) << 6 for base in range(1 << 6) for i in range(1 << 4)]
     witnesses = sorted(encode_graph6(from_edge_mask(5, m)) for m in scan[1 : _MAX_WITNESSES + 1])
     slow._plans.cache_clear()
-    slow._geometries.cache_clear()
+    slow._class_walk.cache_clear()
     try:
         with monkeypatch.context() as patch:
             patch.setattr(slow, "_separator_plan", falsified)
@@ -481,7 +487,7 @@ def test_falsified_plan_fails_the_sweep(monkeypatch):
             assert json.loads(res.output)["cluster_mismatch_witnesses"] == witnesses
     finally:
         slow._plans.cache_clear()
-        slow._geometries.cache_clear()
+        slow._class_walk.cache_clear()
     # no falsified plan reaches a later sweep, or a pool forked for one
     assert sweep_labeled(5, workers=1).ok()
 
@@ -505,7 +511,7 @@ def test_unresolvable_plan_fails_the_sweep(monkeypatch):
     scan = [base | (i ^ i >> 1) << 3 for base in range(1 << 3) for i in range(1 << 3)]
     witnesses = sorted(encode_graph6(from_edge_mask(4, m)) for m in scan[:_MAX_WITNESSES])
     slow._plans.cache_clear()
-    slow._geometries.cache_clear()
+    slow._class_walk.cache_clear()
     try:
         with monkeypatch.context() as patch:
             patch.setattr(spectra, "spectrum", unresolvable)
@@ -517,29 +523,29 @@ def test_unresolvable_plan_fails_the_sweep(monkeypatch):
             assert res.exit_code == 4, res.output
     finally:
         slow._plans.cache_clear()
-        slow._geometries.cache_clear()
+        slow._class_walk.cache_clear()
     assert sweep_labeled(4).ok()
 
 
 def test_sweep_border_vector_tracks_a_fresh_product(monkeypatch):
-    """``sweep_masks`` keeps z by adding and subtracting rows of V along
+    """Each class walk keeps z by adding and subtracting rows of V along
     the Gray walk; at every border, the last one included, z stays within
     1e-13 of a freshly computed V^T s."""
     slow = kernel._slow
-    base_data = slow._base_data
+    class_data = slow._class_data
     inertia_distinct = slow._inertia_distinct
-    seen = []  # (the V the base uses, the z of every border in walk order)
+    seen = []  # (the V a class walk uses, the z of every border in walk order)
 
-    def record_base(adj, nb):
-        data = base_data(adj, nb)
-        seen.append((np.array(data[4]).reshape(nb, nb), []))
+    def record_class(nb, mask):
+        data = class_data(nb, mask)
+        seen.append((np.array(data[3]).reshape(nb, nb), []))
         return data
 
     def record_border(z, prepared):
         seen[-1][1].append(list(z))
         return inertia_distinct(z, prepared)
 
-    monkeypatch.setattr(slow, "_base_data", record_base)
+    monkeypatch.setattr(slow, "_class_data", record_class)
     monkeypatch.setattr(slow, "_inertia_distinct", record_border)
     rng = random.Random(1995)
     ranges = [(7, 0, 2), (7, 32766, 32768), (8, 0, 1), (8, (1 << 21) - 1, 1 << 21)]
@@ -548,11 +554,13 @@ def test_sweep_border_vector_tracks_a_fresh_product(monkeypatch):
         ranges.append((n, start, start + 2))
     for n, start, stop in ranges:
         seen.clear()
+        slow._class_walk.cache_clear()
         slow.sweep_masks(n, start, stop)
         nb = n - 1
         gray = [i ^ i >> 1 for i in range(1 << nb)]
         borders = np.array([[float(b >> u & 1) for u in range(nb)] for b in gray])
-        assert len(seen) == stop - start
+        classes = {slow._canonical_form(from_edge_mask(nb, b).adj, nb)[0] for b in range(start, stop)}
+        assert len(seen) == len(classes)
         for v, zs in seen:
             assert np.abs(np.array(zs) - borders @ v).max() <= 1e-13, (n, start)
 
@@ -575,29 +583,84 @@ def test_canonical_form_relabels_each_base_onto_its_class():
         assert len(seen) == classes, nb
 
 
-def test_base_data_is_the_class_solution_permuted():
-    """Each base takes its class's canonical mask, and its x φ, adjugate
-    and eigensystem permuted onto its labels: the charpoly and the packed
-    adjugate equal the base's own, exactly, and V diagonalises the base's
-    adjacency matrix."""
+def test_every_labeling_counts_as_its_class_relabeling(monkeypatch):
+    """The sweep records a labeled graph's count from its class's walk.
+    On every labeled graph with n <= 6 and on the seeded n = 7 and 8
+    ranges, the graph's own count, from z = V_b^T s with V_b the class's V
+    permuted onto the base (row u is row perm[u]) and the class's plan
+    prepared against its Λ, equals the count the class walk recorded for
+    the relabeled border and the reference formula's.  V_b diagonalises
+    the base, and the regular masks come with their (class, degree) keys."""
     slow = kernel._slow
-    rng = random.Random(2114)
-    bases = [(nb, mask) for nb in range(6) for mask in range(1 << (nb * (nb - 1) // 2))]
-    bases += [(nb, rng.getrandbits(nb * (nb - 1) // 2)) for nb in (6, 7) for _ in range(150)]
-    for nb, mask in bases:
-        g = from_edge_mask(nb, mask)
-        cls, x_phi, adjugate, lam, v_rows = slow._base_data(g.adj, nb)
-        assert cls == slow._canonical_form(g.adj, nb)[0]
-        c = kernel.charpoly_adj(g.adj, nb)
-        w = slow._lane_bits(nb + 1)
-        nbrs = [[v for v in range(nb) if g.has_edge(u, v)] for u in range(nb)]
-        assert x_phi == slow._pack(c, w)
-        assert adjugate == slow._adjugate(nbrs, c, w), (nb, mask)
-        if nb:
-            a = oracles.adjacency_matrix(g)
-            v = np.array(v_rows)
-            assert np.abs(a @ v - v * np.array(lam)).max() <= 1e-12, (nb, mask)
-            assert np.abs(v.T @ v - np.eye(nb)).max() <= 1e-12, (nb, mask)
+    prepare, inertia_distinct = slow._prepare, slow._inertia_distinct
+    plans = {}  # id of each prepared plan -> the plan
+    log = []  # (prepared plan, count) of every class graph, in walk order
+
+    def recorded(lam, plan):
+        prepared = prepare(lam, plan)
+        plans[id(prepared)] = plan
+        return prepared
+
+    def walked(z, prepared):
+        count = inertia_distinct(z, prepared)
+        log.append((prepared, count))
+        return count
+
+    slow._class_walk.cache_clear()
+    monkeypatch.setattr(slow, "_prepare", recorded)
+    monkeypatch.setattr(slow, "_inertia_distinct", walked)
+    walks = {}  # (n, class) -> its walk's log
+    ranges = [(n, 0, 1 << (n - 1) * (n - 2) // 2) for n in range(1, 7)] + list(seeded_ranges())
+    for n, start, stop in ranges:
+        nb = n - 1
+        shift = nb * (nb - 1) // 2
+        rank = {i ^ i >> 1: i for i in range(1 << nb)}
+        borders = np.array([[float(s >> u & 1) for u in range(nb)] for s in range(1 << nb)])
+        for base in range(start, stop):
+            g = from_edge_mask(nb, base)
+            cls, perm = slow._canonical_form(g.adj, nb)
+            seen = len(log)
+            _, regular, _ = slow.sweep_masks(n, base, base + 1)
+            # the class is walked once, for its first base
+            first = (n, cls) not in walks
+            walk = walks.setdefault((n, cls), log[seen:])
+            assert len(walk) == 1 << nb and len(log) - seen == first * len(walk)
+            assert regular.keys == [(cls, (m >> shift).bit_count()) for m in regular]
+            _, _, lam, v_rows = slow._class_data(nb, cls)
+            v_b = np.array([v_rows[p] for p in perm]).reshape(nb, nb)
+            if nb:
+                a = oracles.adjacency_matrix(g)
+                assert np.abs(a @ v_b - v_b * np.array(lam)).max() <= 1e-12, (nb, base)
+            for s, z in enumerate((borders @ v_b).tolist()):
+                relabeled = sum(1 << p for u, p in enumerate(perm) if s >> u & 1)
+                prepared, count = walk[rank[relabeled]]
+                own = inertia_distinct(z, prepared)
+                assert own == count == oracles.reference_inertia_distinct(lam, z, plans[id(prepared)])
+                assert own, (n, base, s)
+
+
+def test_missed_borders_keep_the_scan_order(monkeypatch):
+    """With every plan falsified, the misses of a range come back in scan
+    order, the borders of each base in its own Gray-code order, although
+    the class walks meet them in the order of the class's labels."""
+    slow = kernel._slow
+    plan = slow._separator_plan
+
+    def falsified(n, mask):
+        d, cuts = plan(n, mask)
+        return d, [(t, below + 1) for t, below in cuts]
+
+    scan = [base | (i ^ i >> 1) << 6 for base in range(1 << 6) for i in range(1 << 4)]
+    slow._plans.cache_clear()
+    slow._class_walk.cache_clear()
+    try:
+        monkeypatch.setattr(slow, "_separator_plan", falsified)
+        # the empty graph is the only one whose count holds
+        assert slow.sweep_masks(5, 0, 1 << 6)[2] == scan[1:33]
+        assert slow.sweep_masks(5, 5, 7)[2] == scan[5 << 4 : 7 << 4]
+    finally:
+        slow._plans.cache_clear()
+        slow._class_walk.cache_clear()
 
 
 def test_sweep_plans_each_charpoly_and_solves_each_class_once(monkeypatch):
@@ -618,21 +681,20 @@ def test_sweep_plans_each_charpoly_and_solves_each_class_once(monkeypatch):
         return plan(n, mask)
 
     def counted_prepare(lam, plan):
-        prepared.append(len(plan[1]))
+        prepared.append((id(lam), id(plan), len(plan[1])))
         return prepare(lam, plan)
 
     slow._plans.cache_clear()
-    slow._geometries.cache_clear()
+    slow._class_walk.cache_clear()
     slow._class_data.cache_clear()
     monkeypatch.setattr(slow, "_separator_plan", counted)
     monkeypatch.setattr(slow, "_prepare", counted_prepare)
     first = sweep_labeled(6, workers=1)
     assert len(planned) == len(set(planned)) == len(slow._plans(6)) == 151
     assert slow._class_data.cache_info().misses == 34
-    geometries = slow._geometries(6)
-    assert len(geometries) == 34
-    assert len(prepared) == sum(map(len, geometries.values())) == 544
-    assert sum(prepared) == 2295
+    assert slow._class_walk.cache_info().misses == 34
+    assert len(prepared) == len(set(prepared)) == 544
+    assert sum(seps for _, _, seps in prepared) == 2295
     planned.clear()
     prepared.clear()
     second = sweep_labeled(6, workers=1)
